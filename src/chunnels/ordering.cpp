@@ -18,7 +18,7 @@ class OrderingConnection final : public Connection {
   Result<void> send(Msg m) override {
     Writer w;
     {
-      std::lock_guard<std::mutex> lk(mu_);
+      std::lock_guard<std::mutex> lk(send_mu_);
       w.put_varint(next_send_seq_++);
     }
     w.put_raw(m.payload);
@@ -84,8 +84,11 @@ class OrderingConnection final : public Connection {
  private:
   ConnPtr inner_;
   OrderingOptions opts_;
-  std::mutex mu_;
+  // Not under mu_: recv() holds mu_ across the blocking inner recv, and
+  // a send must not wait for it.
+  std::mutex send_mu_;
   uint64_t next_send_seq_ = 0;
+  std::mutex mu_;  // receive state
   uint64_t next_recv_seq_ = 0;
   std::map<uint64_t, Msg> buffer_;
   std::optional<TimePoint> gap_since_;

@@ -6,9 +6,17 @@
 // fallback* implementation (paper §2): always available, works on any
 // transport, slower than a hardware TCP offload engine would be.
 //
-// Inner-payload format: [u8 subkind (1=data, 2=ack)] [u64 varint seq]
-// [payload for data]. Acks carry the next expected sequence number
-// (cumulative).
+// Inner-payload format: [u8 kind] then, by kind,
+//   1 = data:       [varint seq] [payload]   (accepted, no longer sent)
+//   2 = ack:        [varint next expected]
+//   3 = data + ack: [varint seq] [varint next expected] [payload]
+// Acks are cumulative and ride on outgoing data frames; reliable.cpp
+// lists the few cases that send a pure ack.
+//
+// No thread of its own: inbound frames are pulled by the application
+// threads calling recv() (or a send() waiting for window space), and
+// retransmission runs from the runtime's timer wheel (WrapContext::
+// wheel; a process-wide wheel when that is null).
 #pragma once
 
 #include "core/chunnel.hpp"

@@ -159,9 +159,10 @@ struct WrapContext {
   // built in tests).
   ConnLivenessPtr liveness;
   // Shared timer wheel for liveness deadlines (io/timer_wheel.hpp).
-  // Chunnels that need periodic work (keepalive beats) arm wheel timers
-  // instead of spawning a thread per connection; null reverts them to
-  // the per-connection-thread path.
+  // Chunnels that need periodic work (keepalive beats, reliable
+  // retransmission) arm wheel timers instead of spawning a thread per
+  // connection. When null, keepalive reverts to a per-connection thread
+  // and reliable uses one process-wide wheel.
   std::shared_ptr<TimerWheel> wheel;
 };
 

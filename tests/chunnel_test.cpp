@@ -3,6 +3,7 @@
 // layer), compress, batch, encrypt, framing, and composed stacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "chunnels/batch.hpp"
@@ -22,29 +23,7 @@ namespace bertha {
 
 namespace {
 
-// Minimal base connection over a transport with a fixed peer.
-class FixedPeerConnection final : public Connection {
- public:
-  FixedPeerConnection(TransportPtr t, Addr peer)
-      : t_(std::move(t)), peer_(std::move(peer)), local_(t_->local_addr()) {}
-  Result<void> send(Msg m) override { return t_->send_to(peer_, m.payload); }
-  Result<Msg> recv(Deadline d) override {
-    BERTHA_TRY_ASSIGN(pkt, t_->recv(d));
-    Msg m;
-    m.src = std::move(pkt.src);
-    m.dst = local_;
-    m.payload = std::move(pkt.payload);
-    return m;
-  }
-  const Addr& local_addr() const override { return local_; }
-  const Addr& peer_addr() const override { return peer_; }
-  void close() override { t_->close(); }
-
- private:
-  TransportPtr t_;
-  Addr peer_;
-  Addr local_;
-};
+using testing_support::FixedPeerConnection;
 
 // A pair of connections wired through a MemNetwork with optional loss,
 // each wrapped by the same chunnel impl (client/server roles).
@@ -159,6 +138,84 @@ TEST(ReliableTest, WindowStallsAgainstDeadPeer) {
   EXPECT_GE(sw.elapsed(), ms(90));
   p.a->close();
   p.b->close();
+}
+
+// A reader that falls behind must get every message, in order, even
+// when more arrive than the connection buffers (4096): a frame is acked
+// only once it is kept, so no acked frame is ever dropped.
+TEST(ReliableTest, SlowReaderGetsEveryMessageInOrder) {
+  ReliableChunnel impl;
+  auto p = make_pair_with(impl);
+  constexpr int kN = 5000;
+  std::thread sender([&] {
+    for (int i = 0; i < kN; i++)
+      if (!p.a->send(Msg::of("s" + std::to_string(i))).ok()) return;
+  });
+  sleep_for(ms(1500));
+  int got = 0;
+  for (; got < kN; got++) {
+    auto m = p.b->recv(Deadline::after(seconds(3)));
+    if (!m.ok()) break;
+    if (m.value().payload_str() != "s" + std::to_string(got)) {
+      ADD_FAILURE() << "at " << got << ": " << m.value().payload_str();
+      break;
+    }
+  }
+  p.a->close();
+  p.b->close();
+  sender.join();
+  EXPECT_EQ(got, kN);
+}
+
+// Past the receive buffer's cap a frame is neither accepted nor acked,
+// so the sender still holds it and its retransmission gets through once
+// the reader has caught up. The peer is played by hand; the ARQ side
+// keeps one unacked message in flight so its wheel entry stays armed
+// and drains arrivals while nobody reads.
+TEST(ReliableTest, FramesPastTheBufferCapAreNotAcked) {
+  using namespace testing_support;
+  constexpr uint64_t kCap = 4096;  // the ARQ's receive buffer cap
+  constexpr uint64_t kExtra = 100;
+  ReliableOptions opts;
+  opts.rto = ms(4);
+  auto p = make_raw_arq_pair(opts);
+  ASSERT_TRUE(p.arq->send(Msg::of("keep-armed")).ok());
+
+  uint64_t acked = 0;
+  auto read_acks = [&](Deadline d, uint64_t want) {
+    while (acked < want) {
+      auto f = p.raw->recv(d);
+      if (!f.ok()) return;
+      if (auto a = arq_ack_of(f.value().payload)) acked = std::max(acked, *a);
+    }
+  };
+  auto send_data = [&](uint64_t from, uint64_t to) {
+    for (uint64_t s = from; s < to; s++)
+      ASSERT_TRUE(p.raw->send(Msg(arq_data(s, "d" + std::to_string(s)))).ok());
+  };
+  // Fill the buffer in chunks the transport queue can hold.
+  for (uint64_t s = 0; s < kCap; s += 512) {
+    send_data(s, s + 512);
+    read_acks(Deadline::after(seconds(10)), s + 512);
+    ASSERT_EQ(acked, s + 512);
+  }
+  send_data(kCap, kCap + kExtra);
+  read_acks(Deadline::after(ms(200)), kCap + 1);
+  EXPECT_EQ(acked, kCap) << "a frame past the cap was acked";
+
+  for (uint64_t s = 0; s < kCap; s++) {
+    auto m = p.arq->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(m.ok()) << s << ": " << m.error().to_string();
+    ASSERT_EQ(m.value().payload_str(), "d" + std::to_string(s));
+  }
+  send_data(kCap, kCap + kExtra);  // the peer's retransmission
+  for (uint64_t s = kCap; s < kCap + kExtra; s++) {
+    auto m = p.arq->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(m.ok()) << s << ": " << m.error().to_string();
+    ASSERT_EQ(m.value().payload_str(), "d" + std::to_string(s));
+  }
+  p.arq->close();
+  p.raw->close();
 }
 
 TEST(ReliableTest, NopVariantPassesThrough) {

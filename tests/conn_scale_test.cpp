@@ -343,6 +343,48 @@ StormVerdicts run_keepalive_storm(bool use_wheel, uint64_t seed) {
   return v;
 }
 
+// reliable/arq runs on its callers' threads and the runtime's timer
+// wheel, so opening and using reliable connections adds no threads.
+TEST(ConnScaleTest, ReliableConnectionsAddNoThreads) {
+  constexpr int kConns = 32;
+  auto world = TestWorld::make();
+  auto srv_rt = world.runtime("h-srv");
+  auto cli_rt = world.runtime("h-cli");
+  auto listener = srv_rt->endpoint("srv", wrap(ChunnelSpec("reliable")))
+                      .value()
+                      .listen(Addr::mem("h-srv", 100))
+                      .value();
+  auto ep = cli_rt->endpoint("cli", ChunnelDag::empty()).value();
+  std::vector<ConnPtr> conns;
+  auto open_one = [&] {
+    auto c = ep.connect(listener->addr(), Deadline::after(seconds(5)));
+    ASSERT_TRUE(c.ok()) << c.error().to_string();
+    auto s = listener->accept(Deadline::after(seconds(5)));
+    ASSERT_TRUE(s.ok()) << s.error().to_string();
+    ASSERT_TRUE(c.value()->send(Msg::of("ping")).ok());
+    auto req = s.value()->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(req.ok()) << req.error().to_string();
+    ASSERT_TRUE(s.value()->send(Msg::of("pong")).ok());
+    auto rsp = c.value()->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(rsp.ok()) << rsp.error().to_string();
+    conns.push_back(std::move(c).value());
+    conns.push_back(std::move(s).value());
+  };
+
+  // Warmup: the first connection creates the shared machinery (wheel
+  // tick thread, reactor).
+  open_one();
+  sleep_for(ms(100));
+  int threads_at_warmup = process_threads();
+  ASSERT_GT(threads_at_warmup, 0);
+  for (int i = 0; i < kConns; i++) open_one();
+  int threads_full = process_threads();
+  EXPECT_EQ(threads_full, threads_at_warmup)
+      << (threads_full - threads_at_warmup) << " new threads for " << kConns
+      << " reliable connections";
+  for (auto& c : conns) c->close();
+}
+
 TEST(ConnScaleTest, WheelMatchesThreadKeepaliveVerdicts) {
   for (uint64_t seed : {7u, 21u}) {
     auto wheel = run_keepalive_storm(/*use_wheel=*/true, seed);

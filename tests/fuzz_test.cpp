@@ -5,6 +5,8 @@
 // datagrams and keep serving.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/kvproto.hpp"
 #include "chunnels/ordered_mcast.hpp"
 #include "control/control_wire.hpp"
@@ -716,6 +718,97 @@ TEST_P(ProgramBitflipFuzz, ProgramBitflipsNeverCrashOrMisprogram) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramBitflipFuzz,
                          ::testing::Values(7, 77, 777));
+
+// reliable/arq frames from a broken or hostile peer: truncated and
+// bit-flipped data (kind 1), ack (2) and data+ack (3) frames must not
+// crash the connection, and no ack may release a sequence number the
+// connection has not sent.
+class ArqFrameFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ArqFrameFuzz, MangledFramesNeverReleaseUnsentSeqs) {
+  using namespace testing_support;
+  Rng rng(GetParam());
+  constexpr uint64_t kWindow = 4;
+  ReliableOptions opts;
+  opts.rto = ms(5);
+  opts.window = kWindow;
+  opts.send_timeout = ms(100);
+  auto p = make_raw_arq_pair(opts);
+
+  const std::vector<Bytes> valid = {
+      arq_data(0, "zero"),
+      arq_data(1, "one"),
+      arq_ack(1),
+      arq_ack(kWindow),
+      arq_ack(1000),
+      arq_data_ack(0, 1, "zero+ack"),
+      arq_data_ack(2, 3, "two+ack"),
+      arq_data_ack(9, uint64_t{1} << 40, "far"),
+  };
+  auto mangle = [&](const Bytes& f) {
+    Bytes b = f;
+    if (rng.chance(0.5)) {
+      b.resize(rng.next_below(b.size()));  // strict prefix
+    } else {
+      for (uint64_t flips = 1 + rng.next_below(3); flips > 0; flips--)
+        b[rng.next_below(b.size())] ^=
+            static_cast<uint8_t>(1u << rng.next_below(8));
+    }
+    return b;
+  };
+  // Pull everything through the ARQ side; accepted data is discarded.
+  auto drain = [&] {
+    while (p.arq->recv(Deadline::after(ms(5))).ok()) {
+    }
+  };
+  // Every data frame the ARQ side sent, by sequence number.
+  std::map<uint64_t, int> seen;
+  auto watch = [&](Duration for_) {
+    Deadline d = Deadline::after(for_);
+    for (;;) {
+      auto f = p.raw->recv(d);
+      if (!f.ok()) return;
+      if (auto s = arq_seq_of(f.value().payload)) seen[*s]++;
+    }
+  };
+
+  // Nothing sent yet: every ack in this phase acks nothing.
+  for (int i = 0; i < 400; i++) {
+    const Bytes& f = valid[rng.next_below(valid.size())];
+    ASSERT_TRUE(p.raw->send(Msg(mangle(f))).ok());
+  }
+  drain();
+
+  // A full window goes out and stays unacked: each message is
+  // retransmitted, and one more send stalls.
+  for (uint64_t i = 0; i < kWindow; i++)
+    ASSERT_TRUE(p.arq->send(Msg::of("m" + std::to_string(i))).ok());
+  watch(ms(50));
+  for (uint64_t s = 0; s < kWindow; s++)
+    EXPECT_GE(seen[s], 2) << "seq " << s << " released before it was sent";
+  auto stalled = p.arq->send(Msg::of("over"));
+  ASSERT_FALSE(stalled.ok());
+  EXPECT_EQ(stalled.error().code, Errc::timed_out);
+
+  // Acks above anything sent, whole or mangled, release nothing.
+  for (int i = 0; i < 200; i++) {
+    uint64_t above = kWindow + 1 + rng.next_below(1u << 20);
+    Bytes f = i % 2 ? arq_data_ack(rng.next_below(8), above, "x")
+                    : arq_ack(above);
+    ASSERT_TRUE(p.raw->send(Msg(std::move(f))).ok());
+  }
+  stalled = p.arq->send(Msg::of("over"));
+  ASSERT_FALSE(stalled.ok()) << "a forged ack opened the window";
+  EXPECT_EQ(stalled.error().code, Errc::timed_out);
+
+  // A true ack opens it.
+  ASSERT_TRUE(p.raw->send(Msg(arq_ack(kWindow))).ok());
+  EXPECT_TRUE(p.arq->send(Msg::of("after")).ok());
+  p.arq->close();
+  p.raw->close();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArqFrameFuzz, ::testing::Values(3, 17, 91));
 
 // A live listener bombarded with garbage keeps accepting and serving.
 TEST(AdversarialListener, SurvivesGarbageAndKeepsServing) {

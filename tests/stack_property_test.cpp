@@ -5,8 +5,17 @@
 // through real endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string_view>
 #include <thread>
 
+#include "chunnels/compress.hpp"
+#include "chunnels/encrypt.hpp"
+#include "chunnels/framing.hpp"
+#include "chunnels/ordering.hpp"
+#include "chunnels/reliable.hpp"
+#include "chunnels/serialize_chunnel.hpp"
 #include "test_helpers.hpp"
 #include "util/rand.hpp"
 
@@ -145,6 +154,92 @@ TEST_P(LossyStackProperty, TransformsOverReliableSurviveLoss) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LossyStackProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+// A send must not wait for a recv parked on the same connection, for
+// any menu stage and for the full six-deep stack: a stage whose recv
+// holds a lock across the blocking pull from below must not need that
+// lock to send. The stacks are wrapped by hand over a raw mem
+// transport, whose recv blocks without the endpoint layer's periodic
+// wakeups (those would hide a stalled send behind a slice timeout).
+ChunnelImplPtr menu_impl(std::string_view type) {
+  if (type == "serialize") return std::make_shared<BinarySerializeChunnel>();
+  if (type == "compress") return std::make_shared<CompressChunnel>();
+  if (type == "encrypt") return std::make_shared<SwEncryptChunnel>();
+  if (type == "frame") return std::make_shared<FrameChunnel>();
+  if (type == "reliable") return std::make_shared<ReliableChunnel>();
+  if (type == "ordering") return std::make_shared<OrderingChunnel>();
+  return nullptr;
+}
+
+class ContendedStackProperty : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ContendedStackProperty, SendCompletesWhileRecvIsParked) {
+  // Outermost first, as in a DAG chain.
+  std::vector<ChunnelImplPtr> chain;
+  std::string_view types = GetParam();
+  while (!types.empty()) {
+    auto comma = types.find(',');
+    chain.push_back(menu_impl(types.substr(0, comma)));
+    ASSERT_TRUE(chain.back()) << types;
+    types = comma == std::string_view::npos ? "" : types.substr(comma + 1);
+  }
+  auto net = MemNetwork::create(MemNetwork::Config{});
+  auto ta = net->bind(Addr::mem("a", 1)).value();
+  auto tb = net->bind(Addr::mem("b", 1)).value();
+  Addr addr_a = ta->local_addr(), addr_b = tb->local_addr();
+  auto build = [&](TransportPtr t, Addr peer, Role role) {
+    ConnPtr c = std::make_shared<testing_support::FixedPeerConnection>(
+        std::move(t), std::move(peer));
+    WrapContext ctx;
+    ctx.role = role;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it)
+      c = (*it)->wrap(std::move(c), ctx).value();
+    return c;
+  };
+  ConnPtr a = build(std::move(ta), addr_b, Role::client);
+  ConnPtr b = build(std::move(tb), addr_a, Role::server);
+
+  std::thread parked([&] {
+    auto r = b->recv(Deadline::never());
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_EQ(r.value().payload_str(), "unpark");
+  });
+  sleep_for(ms(20));  // let the receiver block below the stack
+
+  std::atomic<int64_t> took_ns{-1};
+  std::thread sender([&] {
+    Stopwatch sw;
+    auto r = b->send(Msg::of("while-parked"));
+    took_ns = sw.elapsed().count();
+    EXPECT_TRUE(r.ok()) << r.error().to_string();
+  });
+  Stopwatch wait;
+  while (took_ns.load() < 0 && wait.elapsed() < seconds(2)) sleep_for(ms(1));
+  Duration took =
+      took_ns.load() < 0 ? wait.elapsed() : Duration(took_ns.load());
+
+  // Unparking the receiver also frees a send stuck behind it.
+  ASSERT_TRUE(a->send(Msg::of("unpark")).ok());
+  parked.join();
+  sender.join();
+  EXPECT_LT(took, ms(50)) << "send blocked behind the parked recv";
+  auto got = a->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(got.value().payload_str(), "while-parked");
+  a->close();
+  b->close();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Menu, ContendedStackProperty,
+    ::testing::Values("serialize", "compress", "encrypt", "frame", "reliable",
+                      "ordering",
+                      "serialize,compress,encrypt,frame,ordering,reliable"),
+    [](const ::testing::TestParamInfo<const char*>& p) {
+      std::string name = p.param;
+      std::replace(name.begin(), name.end(), ',', '_');
+      return name;
+    });
 
 // Empty payloads and max-size payloads traverse every single-stage
 // pipeline.
