@@ -24,6 +24,10 @@ struct AddrCase {
   uint16_t port;
 };
 
+// Names each case by its URI; without this gtest names it by a byte dump
+// that holds heap pointers, so the test name would change every run.
+void PrintTo(const AddrCase& c, std::ostream* os) { *os << c.uri; }
+
 class AddrParseTest : public ::testing::TestWithParam<AddrCase> {};
 
 TEST_P(AddrParseTest, ParsesAndFormats) {
