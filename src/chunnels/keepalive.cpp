@@ -1,23 +1,17 @@
 #include "chunnels/keepalive.hpp"
 
-#include <condition_variable>
-#include <thread>
-
 #include "io/timer_wheel.hpp"
 
 namespace bertha {
 
 namespace {
 
-// Two beat engines share this connection class:
-//  - Wheel mode (ctx.wheel set): a periodic timer-wheel entry fires
-//    every `interval` and sends the heartbeat from the wheel's tick
-//    thread. An idle connection costs one wheel entry and zero threads
-//    — the property the 100k-connection soak asserts.
-//  - Thread mode (no wheel): the original dedicated beater thread. Kept
-//    as the fallback for raw stacks built without a runtime and as the
-//    reference behaviour the chaos parity test compares against.
-// Dead-peer detection is recv-side in both modes and identical.
+// Beats come from a periodic timer-wheel entry that fires every
+// `interval` and sends the heartbeat from the wheel's tick thread: the
+// runtime's wheel (ctx.wheel), or process_wheel() for a stack built
+// without a runtime. An idle connection costs one wheel entry and zero
+// threads — the property the 100k-connection soak asserts. Dead-peer
+// detection is recv-side.
 class KeepaliveConnection final
     : public Connection,
       public std::enable_shared_from_this<KeepaliveConnection> {
@@ -40,15 +34,13 @@ class KeepaliveConnection final
     zero = 0;
     live_->last_heard.compare_exchange_strong(zero, t,
                                               std::memory_order_relaxed);
-    if (!wheel_) beater_ = std::thread([this] { beat_loop(); });
   }
 
-  // Wheel mode only; called by wrap() right after make_shared (a
-  // weak_from_this inside the constructor would be empty). The callback
-  // holds a weak self so an abandoned connection can't be kept alive by
-  // its own timer; once the weak expires the callback cancels itself.
+  // Called by wrap() right after make_shared (a weak_from_this inside
+  // the constructor would be empty). The callback holds a weak self so
+  // an abandoned connection can't be kept alive by its own timer; once
+  // the weak expires the callback cancels itself.
   void arm() {
-    if (!wheel_) return;
     std::weak_ptr<KeepaliveConnection> wself = weak_from_this();
     std::weak_ptr<TimerWheel> wwheel = wheel_;
     auto id = std::make_shared<uint64_t>(0);
@@ -133,14 +125,12 @@ class KeepaliveConnection final
     }
     // Async cancel is enough: a beat that already started sees closed_
     // and returns without touching inner_ past its close().
-    if (timer && wheel_) (void)wheel_->cancel(timer);
-    cv_.notify_all();
+    if (timer) (void)wheel_->cancel(timer);
     inner_->close();
-    if (beater_.joinable()) beater_.join();
   }
 
  private:
-  // One wheel-driven beat: send a heartbeat iff the connection has been
+  // One beat: send a heartbeat iff the connection has been
   // send-idle for a full interval. Runs on the wheel tick thread, so it
   // must stay short — a datagram send, no waits.
   void beat_once() {
@@ -158,33 +148,13 @@ class KeepaliveConnection final
                            std::memory_order_relaxed);
   }
 
-  void beat_loop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!closed_) {
-      cv_.wait_for(lk, opts_.interval);
-      if (closed_) return;
-      auto idle = now().time_since_epoch().count() -
-                  live_->last_sent.load(std::memory_order_relaxed);
-      if (Duration(idle) < opts_.interval) continue;  // traffic is flowing
-      lk.unlock();
-      Msg hb;
-      hb.payload = {'K', 'H'};
-      (void)inner_->send(std::move(hb));
-      live_->last_sent.store(now().time_since_epoch().count(),
-                             std::memory_order_relaxed);
-      lk.lock();
-    }
-  }
-
   ConnPtr inner_;
   KeepaliveOptions opts_;
   ConnLivenessPtr live_;
   TimerWheelPtr wheel_;
   std::mutex mu_;
-  std::condition_variable cv_;
   bool closed_ = false;
-  uint64_t timer_id_ = 0;  // wheel mode; guarded by mu_
-  std::thread beater_;     // thread mode only
+  uint64_t timer_id_ = 0;  // guarded by mu_
 };
 
 }  // namespace
@@ -209,8 +179,9 @@ Result<ConnPtr> KeepaliveChunnel::wrap(ConnPtr inner, WrapContext& ctx) {
       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                 opts_.dead_after)
                                 .count()))));
-  auto conn = std::make_shared<KeepaliveConnection>(std::move(inner), opts,
-                                                    ctx.liveness, ctx.wheel);
+  auto conn = std::make_shared<KeepaliveConnection>(
+      std::move(inner), opts, ctx.liveness,
+      ctx.wheel ? ctx.wheel : process_wheel());
   conn->arm();
   return ConnPtr(conn);
 }

@@ -43,20 +43,6 @@ Bytes encode_ack(uint64_t next_expected) {
   return std::move(w).take();
 }
 
-// Timers for connections built without a runtime wheel (bare
-// WrapContext, or IoOptions::use_wheel off). One wheel for the whole
-// process, never destroyed: a connection's last reference can drop
-// inside a wheel callback, and a wheel owned that way would be destroyed
-// on its own driver thread.
-TimerWheelPtr process_wheel() {
-  static const auto* wheel = new TimerWheelPtr([] {
-    TimerWheel::Options o;
-    o.tick = ms(1);
-    return TimerWheel::create(o);
-  }());
-  return *wheel;
-}
-
 // ARQ without a thread of its own. Inbound traffic is pulled by whoever
 // needs it: a recv() caller, or a send() blocked on a full window. One
 // thread pulls at a time (pulling_), with mu_ released across the inner

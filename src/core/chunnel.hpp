@@ -161,8 +161,7 @@ struct WrapContext {
   // Shared timer wheel for liveness deadlines (io/timer_wheel.hpp).
   // Chunnels that need periodic work (keepalive beats, reliable
   // retransmission) arm wheel timers instead of spawning a thread per
-  // connection. When null, keepalive reverts to a per-connection thread
-  // and reliable uses one process-wide wheel.
+  // connection. When null (a bare context), they use process_wheel().
   std::shared_ptr<TimerWheel> wheel;
 };
 

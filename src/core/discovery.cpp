@@ -1356,7 +1356,7 @@ void RemoteDiscovery::update_servers(std::vector<Addr> servers) {
 }
 
 RemoteDiscovery::~RemoteDiscovery() {
-  // Wheel-mode heartbeat first: cancel_sync waits out a beat that is
+  // Heartbeat first: cancel_sync waits out a beat that is
   // mid-callback, so nothing races the teardown below. If the wheel
   // itself already stopped, the entry is still kArmed and the cancel
   // succeeds without waiting.
@@ -1371,15 +1371,12 @@ RemoteDiscovery::~RemoteDiscovery() {
     }
     if (hb_wheel && hb_timer) hb_wheel->cancel_sync(hb_timer);
   }
-  std::vector<std::pair<WatcherPtr, std::thread>> pollers;
   std::unordered_map<uint64_t, std::shared_ptr<Sub>> subs;
   {
     std::lock_guard<std::mutex> lk(watch_mu_);
     stopping_ = true;
-    pollers.swap(pollers_);
     subs.swap(subs_);
   }
-  for (auto& [w, t] : pollers) w->cancel();
   for (auto& [id, sub] : subs) {
     // Best-effort: a lost unsubscribe just leaves the server pushing to a
     // dead address until it notices.
@@ -1391,21 +1388,13 @@ RemoteDiscovery::~RemoteDiscovery() {
         encode_frame(MsgKind::unsubscribe, id, encode_unsubscribe(m)));
     sub->watcher->cancel();
   }
-  {
-    std::lock_guard<std::mutex> lk(hb_mu_);
-    hb_stop_ = true;
-  }
-  hb_cv_.notify_all();
   watchdog_cv_.notify_all();
   transport_->close();
-  if (hb_thread_.joinable()) hb_thread_.join();
   if (watchdog_.joinable()) watchdog_.join();
   if (reader_.joinable()) reader_.join();
   // After the reader joins, nobody can spawn a new replay; an in-flight
   // one fails fast (reader_dead_ short-circuits its RPCs).
   if (hb_replay_.joinable()) hb_replay_.join();
-  for (auto& [w, t] : pollers)
-    if (t.joinable()) t.join();
 }
 
 void RemoteDiscovery::ensure_reader_locked() {
@@ -1476,22 +1465,7 @@ void RemoteDiscovery::reader_loop() {
 
 Result<WatcherPtr> RemoteDiscovery::watch(const std::string& type_filter) {
   auto w = std::make_shared<DiscoveryWatcher>(type_filter);
-  auto sub = subscribe_watch(w, type_filter);
-  if (sub.ok()) return w;
-  if (sub.error().code == Errc::cancelled) return sub.error();
-  // The server never acked the subscribe — it predates server-push watch
-  // streams. Emulate with poll-and-diff (impl events only, so a type
-  // filter is required).
-  if (type_filter.empty())
-    return err(Errc::invalid_argument,
-               "remote watch without server push requires a chunnel type "
-               "filter");
-  BLOG(info, "discovery") << "watch subscription unanswered ("
-                          << sub.error().to_string()
-                          << "); falling back to poll-and-diff";
-  std::lock_guard<std::mutex> lk(watch_mu_);
-  if (stopping_) return err(Errc::cancelled, "discovery client closing");
-  pollers_.emplace_back(w, std::thread([this, w] { poll_watch(w); }));
+  BERTHA_TRY(subscribe_watch(w, type_filter));
   return w;
 }
 
@@ -1704,55 +1678,6 @@ void RemoteDiscovery::handle_event_batch(uint64_t token, BytesView payload) {
   if (!filtered.empty()) sub->watcher->deliver_batch(std::move(filtered));
 }
 
-void RemoteDiscovery::poll_watch(WatcherPtr w) {
-  // Poll-and-diff emulation of the in-process watch channel: impl events
-  // only, with per-watcher sequence numbers. Comparison is by name +
-  // metadata so a re-registration that changes an advertisement still
-  // surfaces as impl_registered. The initial snapshot is delivered as
-  // impl_registered events too: a subscriber that races its first poll
-  // against a registration sees the impl either way.
-  std::unordered_map<std::string, ImplInfo> known;
-  uint64_t seq = 0;
-  while (!w->cancelled()) {
-    auto q = query(w->filter());
-    if (q.ok()) {
-      std::unordered_map<std::string, ImplInfo> now;
-      for (auto& e : q.value()) now.emplace(e.name, e);
-      for (auto& [name, info] : now) {
-        auto it = known.find(name);
-        bool changed =
-            it == known.end() ||
-            serialize_to_bytes(it->second) != serialize_to_bytes(info);
-        if (!changed) continue;
-        WatchEvent ev;
-        ev.kind = WatchKind::impl_registered;
-        ev.seq = ++seq;
-        ev.type = info.type;
-        ev.name = name;
-        ev.info = info;
-        w->deliver(ev);
-      }
-      for (auto& [name, info] : known) {
-        if (now.count(name)) continue;
-        WatchEvent ev;
-        ev.kind = WatchKind::impl_unregistered;
-        ev.seq = ++seq;
-        ev.type = info.type;
-        ev.name = name;
-        w->deliver(ev);
-      }
-      known = std::move(now);
-    } else if (q.error().code == Errc::cancelled) {
-      break;  // transport closed under us
-    }
-    // Sleep in small steps so cancel() is honored promptly.
-    Deadline next_poll = Deadline::after(opts_.watch_poll);
-    while (!next_poll.expired() && !w->cancelled())
-      sleep_for(std::min(ms(10), next_poll.remaining()));
-  }
-  w->cancel();
-}
-
 Result<RemoteDiscovery::Rsp> RemoteDiscovery::rpc(const Bytes& request_body,
                                                   Span* span) {
   uint64_t req_id = next_req_.fetch_add(1);
@@ -1863,25 +1788,24 @@ void RemoteDiscovery::ensure_heartbeat() {
   if (opts_.lease_ttl <= Duration::zero()) return;
   std::lock_guard<std::mutex> lk(hb_mu_);
   if (hb_started_ || hb_stop_) return;
-  if (opts_.wheel_source && !hb_wheel_) hb_wheel_ = opts_.wheel_source();
+  if (opts_.wheel_source) hb_wheel_ = opts_.wheel_source();
+  if (!hb_wheel_) hb_wheel_ = process_wheel();
   hb_started_ = true;
-  if (hb_wheel_) {
-    // Wheel mode: lease renewal is one periodic wheel entry and the RPC
-    // is fire-and-forget (the reader thread completes it), so N leased
-    // clients in a process cost zero heartbeat threads. The period gets
-    // the same ±12.5% per-client jitter as the thread path, fixed once
-    // at arm time — wheel entries re-arm at a constant period.
-    Duration period = opts_.heartbeat_period > Duration::zero()
-                          ? opts_.heartbeat_period
-                          : opts_.lease_ttl / 4;
-    if (period <= Duration::zero()) period = ms(10);
-    Rng jitter(backoff_seed_ ^ 0x48454152544a4954ull);
-    int64_t half_spread = std::max<int64_t>(period.count() / 8, 1);
-    period += Duration(jitter.next_in(-half_spread, half_spread));
-    hb_timer_ = hb_wheel_->schedule_periodic(period, [this] { beat_async(); });
-    return;
-  }
-  hb_thread_ = std::thread([this] { heartbeat_loop(); });
+  // Lease renewal is one periodic wheel entry and the RPC is
+  // fire-and-forget (the reader thread completes it), so N leased
+  // clients in a process cost zero heartbeat threads. The period gets a
+  // ±12.5% per-client jitter, fixed once at arm time (wheel entries
+  // re-arm at a constant period): heartbeats from a fleet of clients
+  // started together must not stay phase-locked, or a recovering server
+  // absorbs them all in one burst.
+  Duration period = opts_.heartbeat_period > Duration::zero()
+                        ? opts_.heartbeat_period
+                        : opts_.lease_ttl / 4;
+  if (period <= Duration::zero()) period = ms(10);
+  Rng jitter(backoff_seed_ ^ 0x48454152544a4954ull);
+  int64_t half_spread = std::max<int64_t>(period.count() / 8, 1);
+  period += Duration(jitter.next_in(-half_spread, half_spread));
+  hb_timer_ = hb_wheel_->schedule_periodic(period, [this] { beat_async(); });
 }
 
 void RemoteDiscovery::beat_async() {
@@ -1889,11 +1813,29 @@ void RemoteDiscovery::beat_async() {
   // the tick thread beats every connection in the process.
   uint64_t req_id = next_req_.fetch_add(1);
   uint64_t stale = 0;
+  size_t stale_server = 0;
   {
     std::lock_guard<std::mutex> lk(hb_mu_);
     if (hb_stop_) return;
     stale = hb_inflight_;
+    stale_server = hb_inflight_server_;
+  }
+  // The previous beat got no answer in a whole period: presume its
+  // server dead and move to the next replica, as a timed-out rpc()
+  // attempt does (no-op with one server, or if something else already
+  // rotated away from it).
+  if (stale) rotate_server(stale_server);
+  size_t target_idx;
+  Addr target;
+  {
+    std::lock_guard<std::mutex> lk(srv_mu_);
+    target_idx = active_;
+    target = servers_[active_];
+  }
+  {
+    std::lock_guard<std::mutex> lk(hb_mu_);
     hb_inflight_ = req_id;
+    hb_inflight_server_ = target_idx;
   }
   DiscRequest req;
   req.op = DiscOp::heartbeat;
@@ -1912,13 +1854,13 @@ void RemoteDiscovery::beat_async() {
     if (reader_dead_) return;
     ensure_reader_locked();
     // A beat the server never answered would leak its pending entry;
-    // reap the previous one when arming the next. No retry/rotation
-    // here: the next beat is the retry, and missing lease_ttl/4 worth of
-    // beats is exactly what the TTL budget tolerates.
+    // reap the previous one when arming the next. No retry here: the
+    // next beat (to the next replica) is the retry, and missing
+    // lease_ttl/4 worth of beats is what the TTL budget tolerates.
     if (stale) pending_.erase(stale);
     pending_[req_id] = p;
   }
-  (void)transport_->send_to(active_server(), frame);
+  (void)transport_->send_to(target, frame);
   if (opts_.stats) opts_.stats->heartbeats_sent++;
 }
 
@@ -1960,56 +1902,6 @@ void RemoteDiscovery::set_wheel_source(
   std::lock_guard<std::mutex> lk(hb_mu_);
   if (hb_started_) return;  // engine already chosen; too late to switch
   opts_.wheel_source = std::move(source);
-}
-
-void RemoteDiscovery::heartbeat_loop() {
-  Duration period = opts_.heartbeat_period > Duration::zero()
-                        ? opts_.heartbeat_period
-                        : opts_.lease_ttl / 4;
-  if (period <= Duration::zero()) period = ms(10);
-  // Jitter each interval ±12.5% (per-client seed): heartbeats from a
-  // fleet of clients started together must not stay phase-locked, or a
-  // recovering server absorbs them all in one burst.
-  Rng jitter(backoff_seed_ ^ 0x48454152544a4954ull);
-  int64_t half_spread = std::max<int64_t>(period.count() / 8, 1);
-  std::unique_lock<std::mutex> lk(hb_mu_);
-  while (!hb_stop_) {
-    hb_cv_.wait_for(lk, period + Duration(jitter.next_in(-half_spread,
-                                                         half_spread)));
-    if (hb_stop_) break;
-    lk.unlock();
-    DiscRequest req;
-    req.op = DiscOp::heartbeat;
-    req.client_id = client_id_;
-    auto r = rpc(encode_request(req));
-    if (opts_.stats) opts_.stats->heartbeats_sent++;
-    if (!r.ok() && r.error().code == Errc::not_found) {
-      // The service reaped our lease (e.g. we were partitioned past the
-      // TTL). Replay leased registrations so the deployment converges.
-      std::vector<ImplInfo> replay;
-      {
-        std::lock_guard<std::mutex> lk2(hb_mu_);
-        replay = leased_impls_;
-      }
-      BLOG(warn, "discovery") << "lease lost for " << client_id_
-                              << "; re-registering " << replay.size()
-                              << " impls";
-      for (const auto& info : replay) {
-        DiscRequest rr;
-        rr.op = DiscOp::register_impl;
-        rr.entry = info;
-        rr.client_id = client_id_;
-        rr.idem_key = next_idem();
-        rr.ttl_ms = lease_ttl_ms(opts_);
-        Span span = trace_span(opts_.tracer, "rpc.replay_register");
-        span.tag("impl", info.name);
-        rr.trace = span.context();
-        (void)rpc(encode_request(rr), &span);
-      }
-      if (opts_.stats && !replay.empty()) opts_.stats->lease_recoveries++;
-    }
-    lk.lock();
-  }
 }
 
 Result<void> RemoteDiscovery::register_impl(const ImplInfo& info) {

@@ -236,8 +236,8 @@ class DiscoveryClient {
   virtual Result<void> set_pool(const std::string& pool, uint64_t capacity) = 0;
 
   // Subscribe to deployment changes. The default refuses; DiscoveryState
-  // delivers events synchronously, RemoteDiscovery emulates with a
-  // poll-and-diff thread (impl events only, non-empty filter required).
+  // delivers events synchronously, RemoteDiscovery subscribes to the
+  // server's event push.
   virtual Result<WatcherPtr> watch(const std::string& type_filter) {
     (void)type_filter;
     return err(Errc::invalid_argument,
@@ -595,9 +595,6 @@ class RemoteDiscovery final : public DiscoveryClient {
   struct Options {
     Duration rpc_timeout = ms(500);
     int retries = 3;
-    // Poll period for the fallback watch emulation (used only when the
-    // server never answers a subscribe, i.e. predates server push).
-    Duration watch_poll = ms(50);
     // Backoff between retry attempts.
     ExponentialBackoff::Options backoff{ms(20), 2.0, ms(500), 0.5};
     // 0 (the default) derives the jitter seed from this client's id, so a
@@ -606,8 +603,9 @@ class RemoteDiscovery final : public DiscoveryClient {
     // needs a reproducible backoff schedule.
     uint64_t backoff_seed = 0;
     // Non-zero: registrations/allocations are leased with this TTL and a
-    // heartbeat thread renews them. If the service reports the lease
-    // lost (e.g. after a long partition), registrations are replayed.
+    // periodic timer-wheel entry renews them (see wheel_source). If the
+    // service reports the lease lost (e.g. after a long partition),
+    // registrations are replayed.
     Duration lease_ttl = Duration::zero();
     // Defaults to lease_ttl / 4.
     Duration heartbeat_period = Duration::zero();
@@ -627,14 +625,15 @@ class RemoteDiscovery final : public DiscoveryClient {
     // past the failover timeout a silent server can go unnoticed
     // (detection latency ≈ timeout + interval).
     Duration watchdog_interval = Duration::zero();
-    // Timer-wheel mode for lease renewal: when this returns a wheel (and
-    // lease_ttl > 0), heartbeats are armed as a periodic wheel entry
-    // instead of a dedicated thread — the beat fires the RPC without
-    // waiting (the reader thread completes it asynchronously), so a
-    // process holding many leased clients carries zero heartbeat
-    // threads. Resolved lazily at first lease so wiring it up doesn't
-    // force the wheel (and its tick thread) into runtimes that never
-    // lease anything. Null / returning null keeps the thread path.
+    // The wheel lease heartbeats are armed on (lease_ttl > 0): a
+    // periodic entry whose beat fires the RPC without waiting (the
+    // reader thread completes it), so a process holding many leased
+    // clients carries zero heartbeat threads. A beat that finds its
+    // predecessor unanswered rotates to the next replica first, as a
+    // timed-out rpc() does. Resolved lazily at first lease so wiring it
+    // up doesn't force the wheel (and its tick thread) into runtimes
+    // that never lease anything. Null, or returning null, uses
+    // process_wheel().
     std::function<std::shared_ptr<TimerWheel>()> wheel_source;
   };
 
@@ -657,12 +656,10 @@ class RemoteDiscovery final : public DiscoveryClient {
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;
-  // Server-push when the service supports it: a subscribe frame opens a
-  // stream of event_batch pushes (any filter, including ""), demuxed by
-  // the reader thread, with seq-gap detection and resume. If the server
-  // never acks the subscribe (it predates subscriptions), falls back to
-  // poll-and-diff emulation — impl events only, non-empty filter
-  // required.
+  // Server push: a subscribe frame opens a stream of event_batch pushes
+  // (any filter, including ""), demuxed by the reader thread, with
+  // seq-gap detection and resume. A subscribe the server never acks
+  // returns its `unavailable` error.
   Result<WatcherPtr> watch(const std::string& type_filter) override;
 
   // The lease owner id sent with every request (unique per client).
@@ -678,7 +675,7 @@ class RemoteDiscovery final : public DiscoveryClient {
   void update_servers(std::vector<Addr> servers);
   // Late binding for Options::wheel_source (the runtime constructs its
   // bootstrap discovery client before the runtime object — and hence its
-  // wheel — exists). No-op once the heartbeat engine has started.
+  // wheel — exists). No-op once the heartbeat has been armed.
   void set_wheel_source(std::function<std::shared_ptr<TimerWheel>()> source);
   // The effective jitter seed (after client-id derivation).
   uint64_t backoff_seed() const { return backoff_seed_; }
@@ -697,15 +694,13 @@ class RemoteDiscovery final : public DiscoveryClient {
   Result<Rsp> rpc(const Bytes& request_body, Span* span = nullptr);
   void reader_loop();
   void ensure_reader_locked();
-  void heartbeat_loop();
   void ensure_heartbeat();
-  // Wheel-mode beat: sends the heartbeat RPC and returns without
-  // waiting; runs on the wheel tick thread.
+  // One beat: sends the heartbeat RPC and returns without waiting; runs
+  // on the wheel tick thread.
   void beat_async();
   // Completion of an async beat; runs on the reader thread (or the
   // orphan-failure path). Must not issue blocking RPCs inline.
   void on_heartbeat_done(Result<DiscResponse> rsp);
-  void poll_watch(WatcherPtr w);
   Result<void> subscribe_watch(WatcherPtr w, const std::string& filter);
   void handle_event_batch(uint64_t token, BytesView payload);
   void send_subscribe(const Sub& sub, uint64_t last_seq, bool resume);
@@ -744,7 +739,6 @@ class RemoteDiscovery final : public DiscoveryClient {
 
   std::mutex watch_mu_;
   bool stopping_ = false;
-  std::vector<std::pair<WatcherPtr, std::thread>> pollers_;
   // Server-push subscriptions, keyed by sub_id (the push frame token).
   // Guarded by watch_mu_; the reader thread consults it on every
   // event_batch frame.
@@ -757,18 +751,17 @@ class RemoteDiscovery final : public DiscoveryClient {
   // keepalives included).
   std::atomic<int64_t> last_push_ns_{0};
 
-  // Heartbeat engine (lazily started once leased state exists) plus a
-  // mirror of leased registrations to replay after a lost lease. Wheel
-  // mode arms hb_timer_ on hb_wheel_; thread mode runs hb_thread_.
+  // Heartbeat timer hb_timer_ on hb_wheel_ (armed once leased state
+  // exists) plus a mirror of leased registrations to replay after a
+  // lost lease.
   std::mutex hb_mu_;
-  std::condition_variable hb_cv_;
-  std::thread hb_thread_;
   bool hb_started_ = false;
   bool hb_stop_ = false;
   std::vector<ImplInfo> leased_impls_;  // guarded by hb_mu_
   std::shared_ptr<TimerWheel> hb_wheel_;  // guarded by hb_mu_
   uint64_t hb_timer_ = 0;                 // guarded by hb_mu_
-  uint64_t hb_inflight_ = 0;  // outstanding async beat req id; hb_mu_
+  uint64_t hb_inflight_ = 0;  // outstanding beat req id; hb_mu_
+  size_t hb_inflight_server_ = 0;  // server index it went to; hb_mu_
   // Lease-loss replay runs blocking RPCs, so it gets a transient thread
   // (the reader thread completes those RPCs and must not wait on them).
   std::atomic<bool> hb_replay_running_{false};

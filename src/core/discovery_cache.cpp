@@ -99,6 +99,9 @@ void CachingDiscovery::note(bool healthy) {
     }
     metrics_add(opts_.metrics, "discovery.replayed_writes");
   }
+  // Recorded before the event goes out: a watcher that wakes on it sees
+  // the exit span.
+  exit_span.finish();
   for (auto& w : notify)
     if (w->wants(ev)) w->deliver(ev);
 }

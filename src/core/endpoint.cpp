@@ -4,7 +4,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -614,8 +613,7 @@ class Listener::Impl : public TransitionHost,
       }
     }
 
-    start_demux(shared);
-    return ok();
+    return start_demux(shared);
   }
 
   Result<void> run_on_listen(const ChunnelSpec& spec,
@@ -645,8 +643,7 @@ class Listener::Impl : public TransitionHost,
       if (closing_) return err(Errc::cancelled, "listener closed");
       transports_.push_back(shared);
     }
-    start_demux(shared);
-    return ok();
+    return start_demux(shared);
   }
 
   Result<ConnPtr> accept(Deadline deadline) { return accept_q_.pop(deadline); }
@@ -675,7 +672,6 @@ class Listener::Impl : public TransitionHost,
     std::vector<std::shared_ptr<Transport>> transports;
     std::vector<std::shared_ptr<ServerConnState>> states;
     std::vector<uint64_t> allocs;
-    std::vector<std::thread> threads;
     ReactorPtr reactor;
     std::vector<uint64_t> reactor_ids;
     // Moved out under the lock, destroyed only after it: dropping a
@@ -707,7 +703,6 @@ class Listener::Impl : public TransitionHost,
       conns_.clear();  // states keeps the refs alive past the lock
       metas.swap(meta_);
       recs.swap(transitions_);
-      threads.swap(demux_threads_);
       reactor = std::move(reactor_);
       reactor_ids.swap(reactor_ids_);
     }
@@ -717,8 +712,6 @@ class Listener::Impl : public TransitionHost,
     if (reactor)
       for (uint64_t id : reactor_ids) reactor->remove(id);
     for (auto& t : transports) t->close();
-    for (auto& th : threads)
-      if (th.joinable()) th.join();
     for (auto& st : states) st->incoming.close();
     for (uint64_t id : allocs) (void)rt_->discovery().release(id);
     accept_q_.close();
@@ -827,47 +820,29 @@ class Listener::Impl : public TransitionHost,
   void rollback(const std::shared_ptr<TransitionRecord>& rec, bool declined);
   void transition_drained(uint64_t old_token, bool forced, uint64_t drained);
   // Registers the transport with the runtime's shared reactor (batched
-  // epoll rx) or, when the reactor is disabled/unavailable, spawns the
-  // classic blocking demux thread.
-  void start_demux(std::shared_ptr<Transport> t) {
+  // epoll rx); fails if the reactor cannot be created or refuses it.
+  Result<void> start_demux(std::shared_ptr<Transport> t) {
+    BERTHA_TRY_ASSIGN(reactor, rt_->ensure_reactor());
     auto self = shared_from_this();
-    if (ReactorPtr reactor = rt_->reactor()) {
-      auto id_r = reactor->add(t, [self, t](std::span<Datagram> batch) {
-        for (Datagram& d : batch)
-          self->demux_datagram(t, d.src, d.payload.view());
-      });
-      if (id_r.ok()) {
-        bool keep = false;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (!closing_) {
-            reactor_ = reactor;
-            reactor_ids_.push_back(id_r.value());
-            keep = true;
-          }
-        }
-        // Lost the race with close(): unregister outside the lock.
-        if (!keep) reactor->remove(id_r.value());
-        return;
+    BERTHA_TRY_ASSIGN(
+        id, reactor->add(t, [self, t](std::span<Datagram> batch) {
+          for (Datagram& d : batch)
+            self->demux_datagram(t, d.src, d.payload.view());
+        }));
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!closing_) {
+        reactor_ = reactor;
+        reactor_ids_.push_back(id);
+        return ok();
       }
-      // add() failed; fall back to a dedicated thread below.
     }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (closing_) return;
-    demux_threads_.emplace_back([self, t] { self->demux_loop(t); });
+    // Lost the race with close(): unregister outside the lock.
+    reactor->remove(id);
+    return err(Errc::cancelled, "listener closed");
   }
 
-  void demux_loop(std::shared_ptr<Transport> transport) {
-    for (;;) {
-      auto pkt_r = transport->recv();
-      if (!pkt_r.ok()) return;  // closed
-      Packet& pkt = pkt_r.value();
-      demux_datagram(transport, pkt.src, pkt.payload);
-    }
-  }
-
-  // One datagram's worth of demux work, shared by the reactor handler
-  // and the fallback thread loop.
+  // One datagram's worth of demux work, run by the reactor handler.
   void demux_datagram(const std::shared_ptr<Transport>& transport,
                       const Addr& src, BytesView payload) {
     auto frame_r = decode_frame(payload);
@@ -965,8 +940,7 @@ class Listener::Impl : public TransitionHost,
   uint64_t accepted_ = 0;
   std::atomic<uint64_t> next_token_{1};
   std::vector<std::shared_ptr<Transport>> transports_;
-  std::vector<std::thread> demux_threads_;
-  // Reactor registrations (when the runtime's reactor demuxes for us).
+  // Registrations with the runtime's reactor, one per transport.
   ReactorPtr reactor_;
   std::vector<uint64_t> reactor_ids_;
   std::map<std::string, ChunnelArgs> advertisements_;

@@ -368,9 +368,9 @@ std::vector<std::shared_ptr<TransitionHost>> TransitionController::hosts() {
 }
 
 Result<void> TransitionController::start(DiscoveryClient& discovery) {
-  // Some clients can't watch everything (RemoteDiscovery needs a type
-  // filter); without a watcher the controller still sweeps deadlines and
-  // serves explicit renegotiate_all()/revoke_impl() calls.
+  // Some clients can't watch (no watch support, or a service that never
+  // acks the subscribe); without a watcher the controller still sweeps
+  // deadlines and serves explicit renegotiate_all()/revoke_impl() calls.
   WatcherPtr w;
   auto w_r = discovery.watch("");
   if (w_r.ok()) {

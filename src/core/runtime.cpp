@@ -77,7 +77,7 @@ Result<std::shared_ptr<Runtime>> Runtime::create(RuntimeConfig cfg) {
   // gets the runtime's wheel by late binding. Resolved lazily (at first
   // lease), so runtimes that never lease anything never pay for a wheel;
   // the weak capture keeps the discovery client from pinning the runtime.
-  if (bootstrap_disc && rt->cfg_.io.use_wheel) {
+  if (bootstrap_disc) {
     std::weak_ptr<Runtime> wrt = rt;
     bootstrap_disc->set_wheel_source([wrt]() -> TimerWheelPtr {
       auto r = wrt.lock();
@@ -87,9 +87,8 @@ Result<std::shared_ptr<Runtime>> Runtime::create(RuntimeConfig cfg) {
   return rt;
 }
 
-ReactorPtr Runtime::reactor() {
+Result<ReactorPtr> Runtime::ensure_reactor() {
   std::lock_guard<std::mutex> lk(reactor_mu_);
-  if (!cfg_.io.use_reactor || reactor_failed_) return nullptr;
   if (!reactor_) {
     Reactor::Options opts;
     opts.workers = cfg_.io.reactor_workers;
@@ -97,33 +96,20 @@ ReactorPtr Runtime::reactor() {
     opts.metrics = cfg_.metrics;
     opts.wheel_tick = cfg_.io.wheel_tick;
     opts.wheel_slots = cfg_.io.wheel_slots;
-    auto r = Reactor::create(opts);
-    if (!r.ok()) {
-      reactor_failed_ = true;  // callers fall back to demux threads
-      return nullptr;
-    }
-    reactor_ = std::move(r).value();
+    BERTHA_TRY_ASSIGN(r, Reactor::create(opts));
+    reactor_ = std::move(r);
   }
   return reactor_;
 }
 
+ReactorPtr Runtime::reactor() {
+  auto r = ensure_reactor();
+  return r.ok() ? std::move(r).value() : nullptr;
+}
+
 TimerWheelPtr Runtime::timer_wheel() {
-  if (!cfg_.io.use_wheel) return nullptr;
-  // Prefer the reactor's wheel: one tick thread serves the whole
-  // datapath. (reactor() takes reactor_mu_, so call it unlocked.)
-  if (auto r = reactor()) {
-    if (auto w = r->wheel()) return w;
-  }
-  std::lock_guard<std::mutex> lk(reactor_mu_);
-  if (!wheel_) {
-    TimerWheel::Options opts;
-    opts.tick = cfg_.io.wheel_tick;
-    opts.slots = cfg_.io.wheel_slots;
-    opts.metrics = cfg_.metrics;
-    wheel_ = TimerWheel::create(opts);
-    attach_timer_wheel_provider(*cfg_.metrics, wheel_);
-  }
-  return wheel_;
+  auto r = reactor();
+  return r ? r->wheel() : nullptr;
 }
 
 // Out of line: stop the controller's watch/sweep thread before cfg_
@@ -133,14 +119,11 @@ TimerWheelPtr Runtime::timer_wheel() {
 Runtime::~Runtime() {
   transitions_->stop();
   ReactorPtr reactor;
-  TimerWheelPtr wheel;
   {
     std::lock_guard<std::mutex> lk(reactor_mu_);
     reactor = std::move(reactor_);
-    wheel = std::move(wheel_);
   }
   if (reactor) reactor->shutdown();
-  if (wheel) wheel->stop();
 }
 
 Result<void> Runtime::register_chunnel(ChunnelImplPtr impl) {

@@ -33,21 +33,16 @@ namespace bertha {
 
 class Endpoint;
 
-// Datapath I/O runtime knobs (src/io/). Listeners demux through a
-// shared epoll reactor instead of one blocking thread per transport;
-// disable to fall back to the thread-per-transport rx path.
+// Datapath I/O runtime knobs (src/io/). Listeners demux through one
+// shared epoll reactor, never a blocking thread per transport.
 struct IoOptions {
-  bool use_reactor = true;
   int reactor_workers = 2;
   size_t rx_batch = 32;  // datagrams per recv_batch / handler call
 
-  // Timer wheel (io/timer_wheel.hpp): when true, per-connection
-  // keepalive beats, dead-peer deadlines, and discovery lease
-  // heartbeats arm entries on one shared wheel instead of spawning a
-  // thread per connection — the difference between 100k idle
-  // connections costing 100k parked threads and costing one tick
-  // thread. Disable to fall back to the per-connection-thread path.
-  bool use_wheel = true;
+  // The reactor's timer wheel (io/timer_wheel.hpp): per-connection
+  // keepalive beats, dead-peer deadlines, reliable retransmission and
+  // discovery lease heartbeats are entries on it, so 100k idle
+  // connections cost one tick thread, not 100k parked threads.
   Duration wheel_tick = ms(10);
   size_t wheel_slots = 512;
 };
@@ -187,16 +182,17 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   const TracerPtr& tracer() const { return cfg_.tracer; }
   const MetricsPtr& metrics() const { return cfg_.metrics; }
 
-  // Shared rx reactor (src/io/), created lazily by the first listener.
-  // Null when IoOptions.use_reactor is false or creation failed (callers
-  // then fall back to thread-per-transport demux).
+  // Shared rx reactor (src/io/), created by the first caller. Every
+  // listener registers its transports with it; listen() returns the
+  // creation error when it cannot be created. A failed creation is not
+  // remembered: the next call tries again.
+  Result<ReactorPtr> ensure_reactor();
+  // ensure_reactor(), or null when the reactor cannot be created.
   ReactorPtr reactor();
 
-  // Shared timer wheel for connection liveness deadlines. Prefers the
-  // reactor's wheel (one tick thread for the whole datapath); falls
-  // back to a standalone wheel when the reactor is disabled or failed.
-  // Null when IoOptions.use_wheel is false — callers then revert to the
-  // per-connection thread path.
+  // The reactor's timer wheel: one tick thread for the whole datapath.
+  // Null only when the reactor cannot be created or has shut down;
+  // chunnels and discovery clients then use process_wheel().
   TimerWheelPtr timer_wheel();
 
   // Per-hop streaming latency histograms, recorded by every traced
@@ -218,9 +214,7 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   HopStatsPtr hop_stats_;
 
   std::mutex reactor_mu_;
-  ReactorPtr reactor_;        // guarded by reactor_mu_
-  bool reactor_failed_ = false;
-  TimerWheelPtr wheel_;       // standalone fallback; guarded by reactor_mu_
+  ReactorPtr reactor_;  // guarded by reactor_mu_
 };
 
 // Returns a process-unique random identifier (hex).

@@ -37,8 +37,8 @@ enum class MsgKind : uint8_t {
   // Server-push watch streams (core/discovery.hpp). A subscribe carries
   // the subscription id as its token; the service then pushes event_batch
   // frames on that token until an unsubscribe (or the client vanishes).
-  // An old server that predates these kinds silently ignores them, which
-  // is what lets RemoteDiscovery fall back to poll-and-diff.
+  // A server that ignores them leaves the subscribe unacked, and
+  // RemoteDiscovery::watch() returns `unavailable`.
   subscribe = 10,    // client -> server: open/resume a watch stream
   unsubscribe = 11,  // client -> server: close a watch stream
   event_batch = 12,  // server -> client: coalesced watch events

@@ -275,6 +275,15 @@ TimerWheel::Stats TimerWheel::stats() const {
   return s;
 }
 
+TimerWheelPtr process_wheel() {
+  static const auto* wheel = new TimerWheelPtr([] {
+    TimerWheel::Options o;
+    o.tick = ms(1);
+    return TimerWheel::create(o);
+  }());
+  return *wheel;
+}
+
 void attach_timer_wheel_provider(MetricsRegistry& m, TimerWheelPtr wheel) {
   m.attach_provider("timer_wheel", [wheel](MetricsRegistry::Snapshot& snap) {
     auto s = wheel->stats();

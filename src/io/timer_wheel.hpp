@@ -173,4 +173,13 @@ using TimerWheelPtr = std::shared_ptr<TimerWheel>;
 // wheel's stats() remains the source of truth).
 void attach_timer_wheel_provider(MetricsRegistry& m, TimerWheelPtr wheel);
 
+// The one timer rule: a chunnel or discovery client arms its timers on
+// the runtime's wheel when it has one (WrapContext::wheel,
+// RemoteDiscovery::Options::wheel_source), and on this process-wide
+// 1 ms wheel otherwise (a bare WrapContext, a client built without a
+// runtime). Created on first call and never destroyed: an owner's last
+// reference can drop inside a wheel callback, and a wheel owned that
+// way would be destroyed on its own driver thread.
+TimerWheelPtr process_wheel();
+
 }  // namespace bertha

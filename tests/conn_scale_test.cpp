@@ -7,10 +7,10 @@
 //  - Idle is free: past warmup, an additional idle connection costs
 //    zero threads, and an idle fleet allocates nothing while parked
 //    (per-binary counting operator new, io_test technique).
-//  - Wheel/thread parity: the timer-wheel keepalive path reaches the
-//    same liveness verdicts as the per-connection-thread path under a
-//    seeded lossy-network storm, and wheel-mode lease heartbeats keep
-//    discovery leases alive exactly like the thread path.
+//  - Golden verdicts: under a seeded lossy-network storm, wheel-driven
+//    keepalives condemn every vanished peer and keep every live one, and
+//    wheel-driven lease heartbeats keep discovery leases alive, on a
+//    runtime's wheel and on the process wheel alike.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunnels/keepalive.hpp"
 #include "core/discovery.hpp"
 #include "io/timer_wheel.hpp"
 #include "test_helpers.hpp"
@@ -56,6 +57,7 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace bertha {
 namespace {
 
+using testing_support::FixedPeerConnection;
 using testing_support::TestWorld;
 
 // Threads in this process, from /proc/self/stat field 20 (num_threads).
@@ -235,17 +237,16 @@ TEST(ConnScaleTest, IdleConnectionsAddNoThreadsOrAllocs) {
       << listener->connections_live() << " entries leaked";
 }
 
-// One keepalive storm, run twice — wheel on, wheel off. Connections
-// whose client vanished must be pronounced dead (unavailable via
-// heartbeat silence, or cancelled if the close frame got through);
-// connections that kept beating through 5% seeded loss must stay alive.
-// The two engines must reach the same verdicts.
+// One keepalive storm. Connections whose client vanished must be
+// pronounced dead (unavailable via heartbeat silence, or cancelled if the
+// close frame got through); connections that kept beating through 5%
+// seeded loss must stay alive.
 struct StormVerdicts {
   int dead_terminal = 0;  // vanished clients seen as unavailable/cancelled
   int live_alive = 0;     // surviving clients still alive (recv timed out)
 };
 
-StormVerdicts run_keepalive_storm(bool use_wheel, uint64_t seed) {
+StormVerdicts run_keepalive_storm(uint64_t seed) {
   constexpr int kConns = 12;
   MemNetwork::Config mcfg;
   mcfg.seed = seed;
@@ -259,7 +260,6 @@ StormVerdicts run_keepalive_storm(bool use_wheel, uint64_t seed) {
     cfg.transports = std::make_shared<DefaultTransportFactory>(mem, nullptr,
                                                                host);
     cfg.discovery = discovery;
-    cfg.io.use_wheel = use_wheel;
     cfg.io.wheel_tick = ms(5);
     // Short retry gap: a server conn is born when the FIRST hello lands,
     // but the client only starts beating once connect() returns. Every
@@ -385,24 +385,65 @@ TEST(ConnScaleTest, ReliableConnectionsAddNoThreads) {
   for (auto& c : conns) c->close();
 }
 
-TEST(ConnScaleTest, WheelMatchesThreadKeepaliveVerdicts) {
+// Keepalive stacks built without a runtime (a bare WrapContext, no
+// wheel) beat on the process wheel, so wrapping them adds no threads.
+TEST(ConnScaleTest, BareKeepaliveStacksAddNoThreads) {
+  constexpr int kPairs = 32;
+  KeepaliveOptions opts;
+  opts.interval = ms(20);
+  opts.dead_after = seconds(5);
+  KeepaliveChunnel impl(opts);
+  auto net = MemNetwork::create();
+  std::vector<ConnPtr> conns;
+  auto wrap_pair = [&](int i) {
+    auto ta = net->bind(Addr::mem("a", 0)).value();
+    auto tb = net->bind(Addr::mem("b", 0)).value();
+    Addr addr_a = ta->local_addr(), addr_b = tb->local_addr();
+    ConnPtr base_a =
+        std::make_shared<FixedPeerConnection>(std::move(ta), addr_b);
+    ConnPtr base_b =
+        std::make_shared<FixedPeerConnection>(std::move(tb), addr_a);
+    WrapContext ctx_a;
+    ctx_a.role = Role::client;
+    WrapContext ctx_b = ctx_a;
+    ctx_b.role = Role::server;
+    conns.push_back(impl.wrap(base_a, ctx_a).value());
+    conns.push_back(impl.wrap(base_b, ctx_b).value());
+    std::string msg = "ping" + std::to_string(i);
+    ASSERT_TRUE(conns[conns.size() - 2]->send(Msg::of(msg)).ok());
+    auto got = conns.back()->recv(Deadline::after(seconds(5)));
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(got.value().payload_str(), msg);
+  };
+
+  // Warmup: the first pair starts the process wheel's tick thread.
+  wrap_pair(0);
+  sleep_for(ms(100));
+  int threads_at_warmup = process_threads();
+  ASSERT_GT(threads_at_warmup, 0);
+  for (int i = 1; i <= kPairs; i++) wrap_pair(i);
+  int threads_full = process_threads();
+  EXPECT_EQ(threads_full, threads_at_warmup)
+      << (threads_full - threads_at_warmup) << " new threads for " << kPairs
+      << " bare keepalive pairs";
+  for (auto& c : conns) c->close();
+}
+
+TEST(ConnScaleTest, KeepaliveStormMatchesGoldenVerdicts) {
   for (uint64_t seed : {7u, 21u}) {
-    auto wheel = run_keepalive_storm(/*use_wheel=*/true, seed);
-    auto thread = run_keepalive_storm(/*use_wheel=*/false, seed);
-    EXPECT_EQ(wheel.dead_terminal, 6)
-        << "wheel path missed dead peers (seed " << seed << ")";
-    EXPECT_EQ(wheel.live_alive, 6)
-        << "wheel path false-killed live peers (seed " << seed << ")";
-    EXPECT_EQ(wheel.dead_terminal, thread.dead_terminal) << "seed " << seed;
-    EXPECT_EQ(wheel.live_alive, thread.live_alive) << "seed " << seed;
+    auto v = run_keepalive_storm(seed);
+    EXPECT_EQ(v.dead_terminal, 6) << "missed dead peers (seed " << seed << ")";
+    EXPECT_EQ(v.live_alive, 6)
+        << "false-killed live peers (seed " << seed << ")";
   }
 }
 
-// Wheel-mode lease heartbeats: a leased registration must survive many
-// TTLs under 5% loss with zero heartbeat threads, exactly like the
-// thread engine — and the lease must die once the client does.
+// Lease heartbeats: a leased registration must survive many TTLs under
+// 5% loss with zero heartbeat threads, on a supplied wheel and on the
+// process wheel (no wheel_source) — and the lease must die once the
+// client does.
 TEST(ConnScaleTest, WheelHeartbeatKeepsLeaseAlive) {
-  for (bool use_wheel : {true, false}) {
+  for (bool own_wheel : {true, false}) {
     MemNetwork::Config mcfg;
     mcfg.seed = 11;
     mcfg.drop_rate = 0.05;
@@ -419,12 +460,12 @@ TEST(ConnScaleTest, WheelHeartbeatKeepsLeaseAlive) {
       ro.retries = 3;
       ro.lease_ttl = ms(200);
       ro.stats = stats;
-      if (use_wheel) ro.wheel_source = [wheel] { return wheel; };
+      if (own_wheel) ro.wheel_source = [wheel] { return wheel; };
       RemoteDiscovery client(mem->bind(Addr::mem("h-c", 0)).value(),
                              server.addr(), ro);
       ImplInfo info;
       info.type = "scale";
-      info.name = use_wheel ? "scale/wheel" : "scale/thread";
+      info.name = own_wheel ? "scale/wheel" : "scale/process-wheel";
       ASSERT_TRUE(client.register_impl(info).ok());
       EXPECT_EQ(state->lease_count(), 1u);
 
@@ -432,7 +473,7 @@ TEST(ConnScaleTest, WheelHeartbeatKeepsLeaseAlive) {
       sleep_for(ms(800));
       (void)state->expire_leases();
       EXPECT_EQ(state->lease_count(), 1u)
-          << (use_wheel ? "wheel" : "thread") << " heartbeats failed to "
+          << (own_wheel ? "wheel" : "process-wheel") << " heartbeats failed to "
           << "renew the lease";
       EXPECT_GE(stats->heartbeats_sent.load(), 2u);
       auto found = state->query("scale");

@@ -349,48 +349,14 @@ TEST(DiscoveryWatchTest, SlowConsumerDropsAreCounted) {
 }
 
 TEST_F(RemoteDiscoveryTest, WatchWithoutFilterUsesServerPush) {
-  // An unfiltered remote watch needs server-push subscriptions (the
-  // poll-and-diff fallback cannot emulate it); against a push-capable
-  // server it succeeds and sees events of every chunnel type.
+  // An unfiltered remote watch subscribes to the server's push and sees
+  // events of every chunnel type.
   auto w = client_->watch("").value();
   ASSERT_TRUE(state_->register_impl(watch_info("encrypt", "encrypt/nic", 1))
                   .ok());
   auto ev = w->next(Deadline::after(seconds(2)));
   ASSERT_TRUE(ev.ok()) << ev.error().to_string();
   EXPECT_EQ(ev.value().name, "encrypt/nic");
-}
-
-TEST_F(RemoteDiscoveryTest, WatchEmulatedByPolling) {
-  RemoteDiscovery::Options opts;
-  opts.watch_poll = ms(20);
-  auto ct = net_->bind(Addr::mem("watcher", 0));
-  ASSERT_TRUE(ct.ok());
-  RemoteDiscovery client(std::move(ct).value(), server_->addr(), opts);
-
-  auto w = client.watch("encrypt").value();
-  ImplInfo info = watch_info("encrypt", "encrypt/nic", 1);
-  ASSERT_TRUE(state_->register_impl(info).ok());
-  auto ev = w->next(Deadline::after(seconds(2)));
-  ASSERT_TRUE(ev.ok()) << ev.error().to_string();
-  EXPECT_EQ(ev.value().kind, WatchKind::impl_registered);
-  EXPECT_EQ(ev.value().name, "encrypt/nic");
-
-  // Metadata updates re-announce the entry.
-  info.priority = 42;
-  ASSERT_TRUE(state_->register_impl(info).ok());
-  ev = w->next(Deadline::after(seconds(2)));
-  ASSERT_TRUE(ev.ok());
-  EXPECT_EQ(ev.value().kind, WatchKind::impl_registered);
-  ASSERT_TRUE(ev.value().info.has_value());
-  EXPECT_EQ(ev.value().info->priority, 42);
-
-  ASSERT_TRUE(state_->unregister_impl("encrypt", "encrypt/nic").ok());
-  ev = w->next(Deadline::after(seconds(2)));
-  ASSERT_TRUE(ev.ok());
-  EXPECT_EQ(ev.value().kind, WatchKind::impl_unregistered);
-
-  w->cancel();
-  EXPECT_FALSE(w->next(Deadline::after(ms(100))).ok());
 }
 
 }  // namespace

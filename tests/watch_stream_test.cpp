@@ -125,17 +125,15 @@ TEST_F(WatchStreamTest, SubscriptionLifecycle) {
 }
 
 // The headline economics: an idle push-mode watcher costs the client
-// zero RPCs. Over ten poll periods of the legacy fallback, the server's
-// request counter must not move (pushes and keepalives don't count).
+// zero RPCs. Over a 200 ms idle window the server's request counter must
+// not move (pushes and keepalives don't count).
 TEST_F(WatchStreamTest, IdleWatchIssuesNoRpcs) {
   start_server({});
-  RemoteDiscovery::Options ro;
-  ro.watch_poll = ms(20);
-  start_client({}, ro);
+  start_client({}, {});
 
   auto w = client_->watch("enc").value();
   uint64_t before = server_->requests_served();
-  sleep_for(ms(200));  // 10x the fallback poll period
+  sleep_for(ms(200));
   EXPECT_EQ(server_->requests_served(), before)
       << "an idle push-mode watch issued RPCs";
 
