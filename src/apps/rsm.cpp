@@ -89,10 +89,17 @@ void RsmReplica::accept_loop() {
 void RsmReplica::drain(ConnPtr conn) {
   // All connections at this replica share one globally-ordered stream;
   // each operation is drained (and applied) exactly once, by whichever
-  // drainer pops it.
+  // drainer pops it. Popping and applying are one step under apply_mu_:
+  // otherwise two drainers could apply consecutive operations in the
+  // opposite order, and replicas would diverge. The bounded recv lets
+  // the other drainers take their turn.
   for (;;) {
-    auto msg_r = conn->recv();
-    if (!msg_r.ok()) return;
+    std::lock_guard<std::mutex> lk(apply_mu_);
+    auto msg_r = conn->recv(Deadline::after(ms(50)));
+    if (!msg_r.ok()) {
+      if (msg_r.error().code == Errc::timed_out) continue;
+      return;
+    }
     const Msg& msg = msg_r.value();
     auto op_r = decode_kv_request(msg.payload);
     if (!op_r.ok()) {

@@ -99,6 +99,7 @@ class RsmReplica {
   KvStore store_;
   std::atomic<uint64_t> applied_{0};
   std::atomic<bool> stopping_{false};
+  std::mutex apply_mu_;  // held across one drainer's pop and apply
   std::mutex mu_;
   std::vector<std::thread> threads_;
   std::vector<ConnPtr> conns_;  // accepted connections, closed at stop()

@@ -135,7 +135,7 @@ class ReliableConnection final
     if (timer)
       if (auto w = wheel_.lock()) (void)w->cancel(timer);
     if (final_ack) send_ack(next);
-    inner_->close();  // wakes a puller parked in inner_->recv
+    inner_->close();  // wakes a pulling thread parked in inner_->recv
   }
 
  private:
@@ -144,8 +144,8 @@ class ReliableConnection final
     TimePoint sent_at;
   };
 
-  // Called with lk held. Becomes the puller and handles one frame from
-  // inner_ (lk released across the pull), or, if another thread is
+  // Called with lk held. Pulls and handles one frame from inner_ (lk
+  // released across the pull), or, if another thread is
   // pulling, waits for its next state change. False iff nothing happened
   // before `deadline`.
   bool pump(std::unique_lock<std::mutex>& lk, Deadline deadline) {
@@ -243,7 +243,7 @@ class ReliableConnection final
   }
 
   // Wheel thread: must not block, so it pulls only with an expired
-  // deadline and only when no other thread holds the puller role.
+  // deadline and only when no other thread is pulling.
   void on_timer() {
     std::vector<Bytes> wire;
     {

@@ -305,10 +305,10 @@ Result<void> DiscoveryCluster::start_partition(size_t p) {
     seq_addrs.push_back(seq->addr());
     cands.push_back(std::move(seq));
   }
-  sequencers_.push_back(std::move(cands));
-  seq_addrs_.push_back(std::move(seq_addrs));
   {
     std::lock_guard<std::mutex> lk(mu_);
+    sequencers_.push_back(std::move(cands));
+    seq_addrs_.push_back(std::move(seq_addrs));
     member_addrs_.push_back(std::move(member_addrs));
     rpc_addrs_.push_back(std::move(rpc_addrs));
   }
@@ -321,6 +321,7 @@ Result<void> DiscoveryCluster::start_partition(size_t p) {
                                               replica_opts(p, r)));
     group.push_back(std::move(rep));
   }
+  std::lock_guard<std::mutex> lk(mu_);
   replicas_.push_back(std::move(group));
   return ok();
 }
@@ -409,19 +410,22 @@ ClusterMembership DiscoveryCluster::membership() const {
 }
 
 void DiscoveryCluster::kill_replica(size_t p, size_t r) {
-  if (p >= replicas_.size() || r >= replicas_[p].size()) return;
-  replicas_[p][r].reset();
+  std::unique_ptr<DiscoveryReplica> dead;  // destroyed outside mu_
+  std::lock_guard<std::mutex> lk(mu_);
+  if (p < replicas_.size() && r < replicas_[p].size())
+    dead = std::move(replicas_[p][r]);
 }
 
 bool DiscoveryCluster::alive(size_t p, size_t r) const {
+  std::lock_guard<std::mutex> lk(mu_);
   return p < replicas_.size() && r < replicas_[p].size() &&
          replicas_[p][r] != nullptr;
 }
 
 Result<void> DiscoveryCluster::restart_replica(size_t p, size_t r) {
-  if (p >= replicas_.size() || r >= replicas_[p].size())
+  if (p >= partitions() || r >= replicas(p))
     return err(Errc::invalid_argument, "no such replica");
-  if (replicas_[p][r])
+  if (alive(p, r))
     return err(Errc::already_exists, "replica still alive (kill it first)");
   std::string rr = replica_name(p, r);
   BERTHA_TRY_ASSIGN(rpc_t, bind(Addr::mem(rr, 1), rr + "-rpc"));
@@ -433,14 +437,15 @@ Result<void> DiscoveryCluster::restart_replica(size_t p, size_t r) {
   BERTHA_TRY_ASSIGN(rep, DiscoveryReplica::start(std::move(rpc_t),
                                                  std::move(mem_t),
                                                  std::move(opts)));
+  std::lock_guard<std::mutex> lk(mu_);
   replicas_[p][r] = std::move(rep);
   return ok();
 }
 
 Result<size_t> DiscoveryCluster::add_replica(size_t p) {
-  if (p >= replicas_.size())
+  if (p >= partitions())
     return err(Errc::invalid_argument, "no such partition");
-  size_t r = replicas_[p].size();
+  size_t r = replicas(p);
   std::string rr = replica_name(p, r);
   BERTHA_TRY_ASSIGN(rpc_t, bind(Addr::mem(rr, 1), rr + "-rpc"));
   BERTHA_TRY_ASSIGN(mem_t, bind(Addr::mem(rr, 2), rr + "-member"));
@@ -459,39 +464,32 @@ Result<size_t> DiscoveryCluster::add_replica(size_t p) {
     member_addrs_[p].pop_back();
     return rep_r.error();
   }
-  replicas_[p].push_back(std::move(rep_r).value());
   // Steer the partition's live sequencers at the widened member list so
   // the joiner receives the multicast stream, then publish the config.
-  std::vector<Addr> members;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    members = member_addrs_[p];
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  replicas_[p].push_back(std::move(rep_r).value());
   for (auto& s : sequencers_[p])
-    if (s) s->update_members(members);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    rpc_addrs_[p].push_back(rpc_addr);
-    epoch_++;
-  }
+    if (s) s->update_members(member_addrs_[p]);
+  rpc_addrs_[p].push_back(rpc_addr);
+  epoch_++;
   return r;
 }
 
 Result<size_t> DiscoveryCluster::prepare_partition() {
-  size_t p = replicas_.size();
+  size_t p = partitions();
   if (p >= 64) return err(Errc::resource_exhausted, "partition slots");
   BERTHA_TRY(start_partition(p));
   return p;
 }
 
 Result<void> DiscoveryCluster::revive_partition(size_t p) {
-  if (p >= replicas_.size())
+  if (p >= partitions())
     return err(Errc::invalid_argument, "no such partition");
-  for (const auto& rep : replicas_[p])
-    if (rep) return err(Errc::already_exists, "partition not retired");
+  for (size_t r = 0; r < replicas(p); r++)
+    if (alive(p, r)) return err(Errc::already_exists, "partition not retired");
   std::string pp = cfg_.prefix + "-p" + std::to_string(p);
   std::vector<Addr> members = partition_members(p);
-  for (size_t s = 0; s < sequencers_[p].size(); s++) {
+  for (size_t s = 0; s < cfg_.sequencer_candidates; s++) {
     std::string chan = s == 0 ? pp + "-seq" : pp + "-seq" + std::to_string(s);
     BERTHA_TRY_ASSIGN(seq_t, bind(Addr::mem(chan, 1), chan));
     std::shared_ptr<Transport> seq_shared(std::move(seq_t));
@@ -499,9 +497,10 @@ Result<void> DiscoveryCluster::revive_partition(size_t p) {
         seq, SoftwareSequencer::start_with(seq_shared, members,
                                            cfg_.tuning.sequencer_resend_log,
                                            /*view=*/0, /*standby=*/s != 0));
+    std::lock_guard<std::mutex> lk(mu_);
     sequencers_[p][s] = std::move(seq);
   }
-  for (size_t r = 0; r < replicas_[p].size(); r++) {
+  for (size_t r = 0; r < replicas(p); r++) {
     std::string rr = replica_name(p, r);
     BERTHA_TRY_ASSIGN(rpc_t, bind(Addr::mem(rr, 1), rr + "-rpc"));
     BERTHA_TRY_ASSIGN(mem_t, bind(Addr::mem(rr, 2), rr + "-member"));
@@ -510,15 +509,16 @@ Result<void> DiscoveryCluster::revive_partition(size_t p) {
     BERTHA_TRY_ASSIGN(rep, DiscoveryReplica::start(std::move(rpc_t),
                                                    std::move(mem_t),
                                                    replica_opts(p, r)));
+    std::lock_guard<std::mutex> lk(mu_);
     replicas_[p][r] = std::move(rep);
   }
   return ok();
 }
 
 void DiscoveryCluster::retire_partition(size_t p) {
-  if (p >= replicas_.size()) return;
-  for (auto& rep : replicas_[p]) rep.reset();
-  for (auto& s : sequencers_[p]) s.reset();
+  if (p >= partitions()) return;
+  for (size_t r = 0; r < replicas(p); r++) kill_replica(p, r);
+  for (size_t c = 0; c < cfg_.sequencer_candidates; c++) kill_sequencer(p, c);
 }
 
 uint64_t DiscoveryCluster::set_steering(uint64_t modulo,
@@ -552,11 +552,14 @@ size_t DiscoveryCluster::push_membership() {
 }
 
 void DiscoveryCluster::kill_sequencer(size_t p, size_t c) {
-  if (p >= sequencers_.size() || c >= sequencers_[p].size()) return;
-  sequencers_[p][c].reset();
+  std::unique_ptr<SoftwareSequencer> dead;  // destroyed outside mu_
+  std::lock_guard<std::mutex> lk(mu_);
+  if (p < sequencers_.size() && c < sequencers_[p].size())
+    dead = std::move(sequencers_[p][c]);
 }
 
 bool DiscoveryCluster::sequencer_alive(size_t p, size_t c) const {
+  std::lock_guard<std::mutex> lk(mu_);
   return p < sequencers_.size() && c < sequencers_[p].size() &&
          sequencers_[p][c] != nullptr;
 }

@@ -150,9 +150,15 @@ class DiscoveryCluster {
   // Total partition slots ever created, retired ones included (their
   // replica pointers are null). active_partitions() is the number that
   // the current membership steers traffic to.
-  size_t partitions() const { return replicas_.size(); }
+  size_t partitions() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return replicas_.size();
+  }
   size_t active_partitions() const;
-  size_t replicas(size_t p) const { return replicas_[p].size(); }
+  size_t replicas(size_t p) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return replicas_[p].size();
+  }
   // Replica rpc address list of one partition under the current
   // membership (grows with add_replica; a restarted replica rebinds the
   // same channel, so kills don't shrink it).
@@ -213,11 +219,15 @@ class DiscoveryCluster {
   const std::string& prefix() const { return cfg_.prefix; }
 
   // nullptr after kill_replica.
-  DiscoveryReplica* replica(size_t p, size_t r) { return replicas_[p][r].get(); }
+  DiscoveryReplica* replica(size_t p, size_t r) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return replicas_[p][r].get();
+  }
   // Candidate 0 (the view-0 sequencer); invalid after kill_sequencer(p).
-  SoftwareSequencer& sequencer(size_t p) { return *sequencers_[p][0]; }
+  SoftwareSequencer& sequencer(size_t p) { return *sequencer_at(p, 0); }
   // nullptr after kill_sequencer(p, c).
   SoftwareSequencer* sequencer_at(size_t p, size_t c) {
+    std::lock_guard<std::mutex> lk(mu_);
     return sequencers_[p][c].get();
   }
 
@@ -237,10 +247,12 @@ class DiscoveryCluster {
 
   Config cfg_;
   // rpc_addrs_, the steering fields and epoch_ change online
-  // (add_replica / set_steering) while clients read them; the topology
-  // vectors below them are start()-time fixed per partition except for
-  // push_back under the same lock (and the outer vectors are reserved up
-  // front so prepare_partition never reallocates under a reader).
+  // (add_replica / set_steering) while clients read them, and the
+  // topology vectors below them change under kills, restarts and
+  // repartitioning: all are read and written under mu_. Replicas and
+  // sequencers are started and destroyed outside it (the outer vectors
+  // are reserved up front, so a raw pointer handed out stays valid until
+  // its replica or sequencer is killed).
   mutable std::mutex mu_;
   uint64_t epoch_ = 0;
   uint64_t modulo_ = 0;           // steering modulo (monotone, >= active)

@@ -241,7 +241,7 @@ class ClientChannel final : public Connection,
 
   Result<Msg> recv(Deadline deadline) override {
     for (;;) {
-      // Frames another channel's puller routed to us.
+      // Frames another channel's pulling thread routed to us.
       while (auto f = pending_.try_pop()) {
         if (auto m = handle(*f)) return std::move(*m);
       }
@@ -257,7 +257,7 @@ class ClientChannel final : public Connection,
       if (!pull.owns_lock()) {
         // Another channel is pulling this transport and will route our
         // frames; block on our queue (its push wakes us) with a short
-        // slice so we retake the pull role when the puller leaves.
+        // slice so we retake the pull role when that channel stops.
         Deadline slice = Deadline::after(ms(10));
         if (!deadline.is_never() && deadline.remaining() < ms(10))
           slice = deadline;
@@ -272,7 +272,7 @@ class ClientChannel final : public Connection,
           return err(Errc::timed_out, "recv deadline expired");
         continue;
       }
-      // We are the puller for this transport: receive and route. Tenure
+      // We are pulling this transport: receive and route. Tenure
       // is bounded so a rebase (port swap) is noticed promptly.
       Deadline slice = Deadline::after(ms(50));
       if (!deadline.is_never() && deadline.remaining() < ms(50))
@@ -363,7 +363,7 @@ class ClientChannel final : public Connection,
     }
     group_->port_add_user(np);
     group_->port_drop_user(old);  // closes the transport if we were the
-                                  // last channel on it, waking its puller
+                                  // last channel on it, waking its reader
     return ok();
   }
 
@@ -680,6 +680,9 @@ class Listener::Impl : public TransitionHost,
     // connection_closed() and takes mu_ again.
     std::unordered_map<uint64_t, ConnMeta> metas;
     std::unordered_map<uint64_t, std::shared_ptr<TransitionRecord>> recs;
+    // First, and outside mu_: waits out a controller sweep running on
+    // this listener, after which the controller no longer reaches it.
+    rt_->transitions().detach(this);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (closing_) return;
@@ -1597,7 +1600,7 @@ Result<std::unique_ptr<Listener>> Endpoint::listen(const Addr& addr) {
   BERTHA_TRY(impl->start(addr));
   // Make the listener's connections eligible for live transitions; the
   // controller's watch/sweep thread starts with the first listener.
-  rt_->transitions().attach(impl);
+  rt_->transitions().attach(impl.get());
   if (!rt_->transitions().running())
     (void)rt_->transitions().start(rt_->discovery());
   return std::unique_ptr<Listener>(new Listener(std::move(impl)));

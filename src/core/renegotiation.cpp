@@ -346,25 +346,30 @@ TransitionController::TransitionController(TransitionTuning tuning,
 
 TransitionController::~TransitionController() { stop(); }
 
-void TransitionController::attach(std::shared_ptr<TransitionHost> host) {
+void TransitionController::attach(TransitionHost* host) {
   if (!host) return;
   host->bind_stats(sink_);
   std::lock_guard<std::mutex> lk(mu_);
   hosts_.push_back(host);
 }
 
-std::vector<std::shared_ptr<TransitionHost>> TransitionController::hosts() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<std::shared_ptr<TransitionHost>> out;
-  size_t live = 0;
-  for (auto& w : hosts_) {
-    if (auto sp = w.lock()) {
-      hosts_[live++] = w;
-      out.push_back(std::move(sp));
-    }
+void TransitionController::detach(TransitionHost* host) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    std::erase(hosts_, host);
   }
-  hosts_.resize(live);
-  return out;
+  std::lock_guard<std::mutex> wait(host_calls_mu_);
+}
+
+void TransitionController::for_each_host(
+    const std::function<void(TransitionHost&)>& f) {
+  std::lock_guard<std::mutex> calls(host_calls_mu_);
+  std::vector<TransitionHost*> hosts;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    hosts = hosts_;
+  }
+  for (TransitionHost* host : hosts) f(*host);
 }
 
 Result<void> TransitionController::start(DiscoveryClient& discovery) {
@@ -443,7 +448,7 @@ void TransitionController::run_loop() {
 }
 
 void TransitionController::poll() {
-  for (auto& h : hosts()) h->sweep_transitions();
+  for_each_host([](TransitionHost& h) { h.sweep_transitions(); });
 }
 
 void TransitionController::handle_batch(const std::vector<WatchEvent>& events) {
@@ -489,7 +494,7 @@ void TransitionController::handle_batch(const std::vector<WatchEvent>& events) {
     }
   }
   if (refresh)
-    for (auto& h : hosts()) h->refresh_advertisements();
+    for_each_host([](TransitionHost& h) { h.refresh_advertisements(); });
   // Revocations first (mandatory, per impl) so affected connections are
   // forced off the vanished impls before the opportunistic upgrade pass
   // finds them busy.
@@ -512,23 +517,23 @@ uint64_t TransitionController::trigger(TransitionReason reason, bool mandatory,
     bans = bans_;
   }
   uint64_t started = 0;
-  for (auto& h : hosts()) {
-    for (const auto& c : h->live_connections()) {
+  for_each_host([&](TransitionHost& h) {
+    for (const auto& c : h.live_connections()) {
       if (use_filter) {
         bool uses = false;
         for (const auto& n : c.chain)
           uses |= n.type == type && n.impl_name == name;
         if (!uses) continue;
       }
-      auto r = h->begin_transition(c.token, reason, bans, mandatory);
+      auto r = h.begin_transition(c.token, reason, bans, mandatory);
       if (r.ok() && r.value() == TransitionHost::Begin::started) started++;
     }
-  }
+  });
   return started;
 }
 
 uint64_t TransitionController::renegotiate_all(TransitionReason reason) {
-  for (auto& h : hosts()) h->refresh_advertisements();
+  for_each_host([](TransitionHost& h) { h.refresh_advertisements(); });
   return trigger(reason, /*mandatory=*/false, /*use_filter=*/false, "", "");
 }
 

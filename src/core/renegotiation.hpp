@@ -289,8 +289,14 @@ class TransitionController {
   StatsSinkPtr stats_sink() const { return sink_; }
   TransitionStats stats() const { return sink_->snapshot(); }
 
-  // Listeners register themselves here (weakly) when they start.
-  void attach(std::shared_ptr<TransitionHost> host);
+  // Listeners register themselves here when they start and detach when
+  // they close. The controller never owns a host: detach() blocks until
+  // no controller call on `host` is running, so the host (and the
+  // runtime it may own, whose teardown joins the controller thread) is
+  // never destroyed on the controller's thread. Must not be called from
+  // inside a host callback.
+  void attach(TransitionHost* host);
+  void detach(TransitionHost* host);
 
   // Subscribe to `discovery` and run the watch/sweep thread.
   Result<void> start(DiscoveryClient& discovery);
@@ -316,14 +322,17 @@ class TransitionController {
   // connections whose chain uses (type, name).
   uint64_t trigger(TransitionReason reason, bool mandatory, bool use_filter,
                    const std::string& type, const std::string& name);
-  std::vector<std::shared_ptr<TransitionHost>> hosts();
+  // Calls `f` on each attached host, under host_calls_mu_.
+  void for_each_host(const std::function<void(TransitionHost&)>& f);
 
   const TransitionTuning tuning_;
   StatsSinkPtr sink_;
   TracerPtr tracer_;
 
+  // Held across every host call; detach() takes it to wait one out.
+  std::mutex host_calls_mu_;
   mutable std::mutex mu_;
-  std::vector<std::weak_ptr<TransitionHost>> hosts_;
+  std::vector<TransitionHost*> hosts_;
   std::vector<std::pair<std::string, std::string>> bans_;
   WatcherPtr watcher_;
   std::thread thread_;

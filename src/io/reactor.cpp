@@ -49,6 +49,8 @@ Result<uint64_t> Reactor::add(std::shared_ptr<Transport> transport,
   reg->transport = std::move(transport);
   reg->handler = std::move(handler);
   reg->fd = reg->transport->poll_fd();
+  if (reg->fd < 0)
+    return err(Errc::invalid_argument, "transport has no readiness fd");
   reg->buf.resize(opts_.batch_size);
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -56,15 +58,15 @@ Result<uint64_t> Reactor::add(std::shared_ptr<Transport> transport,
     reg->id = next_id_++;
     regs_[reg->id] = reg;
   }
-  if (reg->fd >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLONESHOT;
-    ev.data.u64 = reg->id;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, reg->fd, &ev) < 0)
-      reg->fd = -1;  // unsupported fd type: pull thread instead
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = reg->id;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, reg->fd, &ev) < 0) {
+    Error e = errno_error(Errc::io_error, "epoll_ctl add");
+    std::lock_guard<std::mutex> lk(mu_);
+    regs_.erase(reg->id);
+    return e;
   }
-  if (reg->fd < 0)
-    reg->puller = std::thread([this, reg] { fallback_loop(reg); });
   return reg->id;
 }
 
@@ -78,13 +80,9 @@ void Reactor::remove(uint64_t id) {
     regs_.erase(it);
   }
   reg->dead.store(true, std::memory_order_release);
-  if (reg->fd >= 0) {
-    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return !reg->running; });
-  } else if (reg->puller.joinable()) {
-    reg->puller.join();
-  }
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_.wait(lk, [&] { return !reg->running; });
 }
 
 void Reactor::shutdown() {
@@ -98,14 +96,11 @@ void Reactor::shutdown() {
   }
   for (auto& reg : regs) {
     reg->dead.store(true, std::memory_order_release);
-    if (reg->fd >= 0)
-      (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
+    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, reg->fd, nullptr);
   }
   fire_wake_eventfd(wake_.get());
   for (auto& w : workers_)
     if (w.joinable()) w.join();
-  for (auto& reg : regs)
-    if (reg->puller.joinable()) reg->puller.join();
   TimerWheelPtr wheel;
   {
     std::lock_guard<std::mutex> lk(wheel_mu_);
@@ -187,46 +182,25 @@ void Reactor::worker_loop() {
       }
       bool rearm = drain(reg);
       {
+        // Re-arm before clearing `running`: remove() cannot return (and
+        // its caller close the transport, freeing the fd number for
+        // reuse) until this block is done. A registration whose
+        // transport closed stays disarmed until remove() or shutdown().
+        // The worker drops its ref in here too, while remove()'s or the
+        // table's ref is still held: a worker never destroys a handler,
+        // and with it whatever owns the reactor.
         std::lock_guard<std::mutex> lk(mu_);
+        if (rearm && !reg->dead.load(std::memory_order_acquire)) {
+          epoll_event ev{};
+          ev.events = EPOLLIN | EPOLLONESHOT;
+          ev.data.u64 = id;
+          (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, reg->fd, &ev);
+        }
         reg->running = false;
+        reg.reset();
       }
       cv_.notify_all();
-      if (rearm && !reg->dead.load(std::memory_order_acquire)) {
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLONESHOT;
-        ev.data.u64 = id;
-        // ENOENT after a concurrent remove() is fine.
-        (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, reg->fd, &ev);
-      } else if (!rearm) {
-        // Transport closed under us: retire the registration.
-        std::lock_guard<std::mutex> lk(mu_);
-        regs_.erase(id);
-      }
     }
-  }
-}
-
-void Reactor::fallback_loop(RegPtr reg) {
-  // Short slices so remove() (which only sets `dead`) is honoured even
-  // when the transport stays open and quiet.
-  while (!reg->dead.load(std::memory_order_acquire)) {
-    auto r = bertha::recv_batch(*reg->transport, std::span<Datagram>(reg->buf),
-                                Deadline::after(ms(50)));
-    if (!r.ok()) {
-      if (r.error().code == Errc::timed_out) continue;
-      return;  // closed
-    }
-    if (reg->dead.load(std::memory_order_acquire)) return;
-    size_t n = r.value();
-    if (n == 0) continue;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.batches++;
-      stats_.datagrams += n;
-    }
-    metrics_add(opts_.metrics, "io.reactor.batches");
-    metrics_add(opts_.metrics, "io.reactor.datagrams", n);
-    reg->handler(std::span<Datagram>(reg->buf.data(), n));
   }
 }
 

@@ -3,11 +3,12 @@
 // demux loops, the shard dispatcher, and anything else that consumes
 // whole transports register a handler and get called with batches.
 //
-// fd-backed transports (poll_fd() >= 0) join one epoll set with
-// EPOLLONESHOT, so exactly one worker drains a given endpoint at a time
-// and re-arms it when the socket runs dry. Transports without an fd
-// (mem/sim/fault decorators) fall back to a dedicated pull thread per
-// registration — same handler contract, no behavioural difference.
+// Every registered transport joins one epoll set through its poll_fd()
+// with EPOLLONESHOT, so exactly one worker drains a given endpoint at a
+// time and re-arms it when the transport runs dry. Sockets bring their
+// own fd; mem/sim endpoints and the fault decorator build a readiness
+// fd on demand (net/queue_transport.hpp, net/fault.hpp). A transport
+// without one is refused.
 #pragma once
 
 #include <atomic>
@@ -50,8 +51,10 @@ class Reactor {
 
   // Registers a transport. The reactor shares ownership but never closes
   // it; closing the transport elsewhere retires the registration (the
-  // handler stops being called). Handlers must not call back into
-  // remove()/shutdown() for their own registration.
+  // handler stops being called; remove() still releases it). Handlers
+  // must not call back into remove()/shutdown() for their own
+  // registration. Fails with invalid_argument if poll_fd() is -1, and
+  // with the epoll_ctl error if epoll refuses the fd.
   Result<uint64_t> add(std::shared_ptr<Transport> transport, Handler handler);
 
   // Unregisters and blocks until the handler is not running and will not
@@ -80,9 +83,8 @@ class Reactor {
     uint64_t id = 0;
     std::shared_ptr<Transport> transport;
     Handler handler;
-    int fd = -1;  // -1 => fallback pull thread
+    int fd = -1;  // transport->poll_fd()
     std::vector<Datagram> buf;
-    std::thread puller;               // fallback only
     std::atomic<bool> dead{false};    // no further handler calls wanted
     bool running = false;             // guarded by reactor mu_
   };
@@ -90,7 +92,6 @@ class Reactor {
 
   Reactor(Options opts, Fd epoll, Fd wake);
   void worker_loop();
-  void fallback_loop(RegPtr reg);
   // Drains until the transport runs dry; false when the registration
   // should be retired (transport closed or marked dead).
   bool drain(const RegPtr& reg);

@@ -1,5 +1,8 @@
 #include "net/fault.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -96,7 +99,37 @@ Result<void> FaultInjectingTransport::send_to(const Addr& dst,
   return r;
 }
 
+int FaultInjectingTransport::poll_fd() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (rx_poll_.valid()) return rx_poll_.get();
+  int inner_fd = inner_->poll_fd();
+  if (inner_fd < 0) return -1;
+  bool held = rx_held_ || !rx_pending_.empty();
+  Fd ep(::epoll_create1(EPOLL_CLOEXEC));
+  Fd ready(::eventfd(held ? 1 : 0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!ep.valid() || !ready.valid()) return -1;
+  for (int fd : {inner_fd, ready.get()}) {
+    epoll_event ev{EPOLLIN, {}};
+    if (::epoll_ctl(ep.get(), EPOLL_CTL_ADD, fd, &ev) < 0) return -1;
+  }
+  rx_ready_ = std::move(ready);
+  rx_poll_ = std::move(ep);
+  return rx_poll_.get();
+}
+
+FaultInjectingTransport::RxReadySync::~RxReadySync() {
+  std::lock_guard<std::mutex> lk(t.mu_);
+  if (!t.rx_ready_.valid()) return;
+  uint64_t v = 1;
+  if (t.rx_held_ || !t.rx_pending_.empty()) {
+    (void)!::write(t.rx_ready_.get(), &v, sizeof(v));
+  } else {
+    (void)!::read(t.rx_ready_.get(), &v, sizeof(v));
+  }
+}
+
 Result<Packet> FaultInjectingTransport::recv(Deadline deadline) {
+  RxReadySync sync{*this};
   for (;;) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -159,88 +192,22 @@ Result<size_t> FaultInjectingTransport::send_batch(
   return sent;
 }
 
+// The batch receive drains the scalar pipeline: the first datagram waits
+// until `deadline`, the rest are taken only if already there. A short
+// batch therefore leaves nothing behind in rx_pending_ or rx_held_.
 Result<size_t> FaultInjectingTransport::recv_batch(std::span<Datagram> out,
                                                    Deadline deadline) {
-  if (out.empty()) return size_t(0);
-  for (;;) {
-    size_t n = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      while (n < out.size() && !rx_pending_.empty()) {
-        out[n].src = std::move(rx_pending_.front().src);
-        out[n].payload.assign(rx_pending_.front().payload);
-        rx_pending_.pop_front();
-        n_.received++;
-        n++;
-      }
+  size_t n = 0;
+  for (; n < out.size(); n++) {
+    auto p = recv(n == 0 ? deadline : Deadline::after(Duration::zero()));
+    if (!p.ok()) {
+      if (n == 0) return p.error();
+      break;
     }
-    if (n > 0) return n;
-
-    // Pull a fresh batch from the inner transport and run every datagram
-    // through the same fault pipeline recv() applies.
-    std::vector<Datagram> fresh(out.size());
-    auto r = bertha::recv_batch(*inner_, std::span<Datagram>(fresh), deadline);
-    if (!r.ok()) {
-      // Don't strand a held (reordered) packet behind a quiet link.
-      std::lock_guard<std::mutex> lk(mu_);
-      if (rx_held_) {
-        out[0].src = std::move(rx_held_->src);
-        out[0].payload.assign(rx_held_->payload);
-        rx_held_.reset();
-        n_.received++;
-        return size_t(1);
-      }
-      return r.error();
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < r.value(); i++) {
-      Datagram& d = fresh[i];
-      if (recv_filter_ && recv_filter_(d.src, d.payload.view())) {
-        n_.rx_dropped++;
-        continue;
-      }
-      if (rx_partitioned_ || rng_.chance(opts_.drop)) {
-        n_.rx_dropped++;
-        continue;
-      }
-      auto to_packet = [&d] {
-        Packet p;
-        p.src = d.src;
-        p.payload = d.payload.to_bytes();
-        return p;
-      };
-      if (rng_.chance(opts_.duplicate)) {
-        n_.rx_duplicated++;
-        rx_pending_.push_back(to_packet());
-      }
-      if (!rx_held_ && rng_.chance(opts_.reorder)) {
-        n_.rx_reordered++;
-        rx_held_ = to_packet();
-        continue;
-      }
-      auto deliver = [&](Packet p) {
-        if (n < out.size()) {
-          out[n].src = std::move(p.src);
-          out[n].payload.assign(p.payload);
-          n_.received++;
-          n++;
-        } else {
-          rx_pending_.push_back(std::move(p));
-        }
-      };
-      // Matches recv(): the current datagram goes out first, then the
-      // held one — that inversion is what "reorder" means.
-      std::optional<Packet> held;
-      if (rx_held_) {
-        held = std::move(*rx_held_);
-        rx_held_.reset();
-      }
-      deliver(to_packet());
-      if (held) deliver(std::move(*held));
-    }
-    if (n > 0) return n;
-    // Every datagram in the pull was dropped/held; wait for more.
+    out[n].src = std::move(p.value().src);
+    out[n].payload.assign(p.value().payload);
   }
+  return n;
 }
 
 void FaultInjectingTransport::close() {

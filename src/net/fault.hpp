@@ -7,6 +7,14 @@
 // of the wrapped endpoint; wrap both ends of a flow to fault both
 // directions with independent streams. Filters give tests surgical
 // control (e.g. "drop exactly the first discovery response").
+//
+// poll_fd() composes readiness: a nested epoll set, built on the first
+// call, over the inner transport's fd and an eventfd that is readable
+// while a duplicated or reorder-held datagram waits in the decorator, so
+// one left behind by a receive is never stranded. A held datagram is
+// released by the first receive that finds the inner transport dry, and
+// recv_batch() runs the scalar pipeline until it is full or dry, so a
+// short batch leaves nothing behind.
 #pragma once
 
 #include <condition_variable>
@@ -18,6 +26,7 @@
 #include <vector>
 
 #include "io/batch.hpp"
+#include "net/fd_util.hpp"
 #include "net/transport.hpp"
 #include "util/clock.hpp"
 #include "util/rand.hpp"
@@ -62,13 +71,14 @@ class FaultInjectingTransport final : public Transport,
   void close() override;
 
   // Batch passthrough: faults apply per-datagram inside the batch, with
-  // the same seeded decision stream as the unbatched path. poll_fd()
-  // stays -1 on purpose — held/pending packets mean fd readiness would
-  // lie, so reactor users of a faulted transport take the pull-thread
-  // fallback.
+  // the same seeded decision stream as the unbatched path.
   Result<size_t> send_batch(std::span<const Datagram> batch) override;
   Result<size_t> recv_batch(std::span<Datagram> out,
                             Deadline deadline = Deadline::never()) override;
+
+  // The composite readiness fd described above; -1 if the inner
+  // transport has no fd (or the epoll set cannot be built).
+  int poll_fd() const override;
 
   // One-way partitions, togglable at runtime. partition(true, false)
   // blackholes everything this endpoint sends while still receiving;
@@ -88,6 +98,12 @@ class FaultInjectingTransport final : public Transport,
     Bytes payload;
   };
 
+  // Re-syncs rx_ready_ with rx_pending_/rx_held_ when a receive returns.
+  struct RxReadySync {
+    FaultInjectingTransport& t;
+    ~RxReadySync();
+  };
+
   void timer_loop();
   void ensure_timer_locked();
 
@@ -104,6 +120,10 @@ class FaultInjectingTransport final : public Transport,
   std::optional<Packet> rx_held_;
   std::deque<Packet> rx_pending_;  // duplicates / released reorders
   Counters n_;
+  // poll_fd() state, built lazily; rx_ready_ is readable exactly while
+  // rx_pending_ or rx_held_ holds a datagram.
+  mutable Fd rx_poll_;
+  mutable Fd rx_ready_;
 
   // Delayed sends, flushed by a lazily started timer thread.
   std::vector<Delayed> delay_q_;  // min-heap by due time

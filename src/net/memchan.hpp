@@ -3,20 +3,20 @@
 //
 // A MemNetwork is a namespace of mem://host:port endpoints. Delivery is
 // a queue push in the sender's thread, so message interleavings are
-// driven entirely by the calling threads.
+// driven entirely by the calling threads. Endpoints are QueueTransports
+// (net/queue_transport.hpp): their poll_fd() is a readiness eventfd,
+// opened only for endpoints that join a reactor.
 #pragma once
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
-#include "net/transport.hpp"
-#include "util/queue.hpp"
+#include "net/queue_transport.hpp"
 #include "util/rand.hpp"
 
 namespace bertha {
 
-class MemNetwork : public std::enable_shared_from_this<MemNetwork> {
+class MemNetwork : public QueueNetwork {
  public:
   struct Config {
     double drop_rate = 0.0;  // fraction of datagrams silently dropped
@@ -33,30 +33,15 @@ class MemNetwork : public std::enable_shared_from_this<MemNetwork> {
   // that host name. Fails with already_exists if taken.
   Result<TransportPtr> bind(const Addr& addr);
 
-  // Counters (for loss-injection assertions in tests).
-  uint64_t delivered() const;
-  uint64_t dropped() const;
-
  private:
   explicit MemNetwork(Config cfg) : cfg_(cfg), rng_(cfg.seed) {}
 
-  friend class MemTransport;
-  struct Endpoint {
-    BlockingQueue<Packet> q;
-    explicit Endpoint(size_t depth) : q(depth) {}
-  };
-
-  // Called by MemTransport::send_to.
-  Result<void> deliver(const Addr& from, const Addr& to, BytesView payload);
-  void unbind(const Addr& addr);
+  Result<void> send(const Addr& from, const Addr& to,
+                    BytesView payload) override;
 
   Config cfg_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   Rng rng_;  // guarded by mu_
-  uint64_t delivered_ = 0;
-  uint64_t dropped_ = 0;
-  uint16_t next_ephemeral_ = 40000;
-  std::unordered_map<Addr, std::shared_ptr<Endpoint>, AddrHash> endpoints_;
 };
 
 // Factory over a MemNetwork (satisfies TransportFactory for the runtime).

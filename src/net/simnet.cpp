@@ -2,61 +2,9 @@
 
 #include <algorithm>
 
-#include "io/batch.hpp"
 #include "util/log.hpp"
 
 namespace bertha {
-
-class SimTransport final : public Transport, public BatchTransport {
- public:
-  SimTransport(std::shared_ptr<SimNet> net,
-               std::shared_ptr<SimNet::Endpoint> ep, Addr local)
-      : net_(std::move(net)), ep_(std::move(ep)), local_(std::move(local)) {}
-
-  ~SimTransport() override { close(); }
-
-  Result<void> send_to(const Addr& dst, BytesView payload) override {
-    if (ep_->q.closed()) return err(Errc::cancelled, "transport closed");
-    return net_->send(local_, dst, payload);
-  }
-
-  Result<Packet> recv(Deadline deadline) override { return ep_->q.pop(deadline); }
-
-  Result<size_t> send_batch(std::span<const Datagram> batch) override {
-    if (ep_->q.closed()) return err(Errc::cancelled, "transport closed");
-    for (const Datagram& d : batch)
-      BERTHA_TRY(net_->send(local_, d.dst, d.payload.view()));
-    return batch.size();
-  }
-
-  Result<size_t> recv_batch(std::span<Datagram> out,
-                            Deadline deadline) override {
-    if (out.empty()) return size_t(0);
-    constexpr size_t kChunk = 64;
-    Packet chunk[kChunk];
-    size_t max = std::min(out.size(), kChunk);
-    BERTHA_TRY_ASSIGN(n, ep_->q.pop_batch(chunk, max, deadline));
-    for (size_t i = 0; i < n; i++) {
-      out[i].src = std::move(chunk[i].src);
-      out[i].payload.assign(chunk[i].payload);
-    }
-    return n;
-  }
-
-  const Addr& local_addr() const override { return local_; }
-
-  void close() override {
-    if (!ep_->q.closed()) {
-      ep_->q.close();
-      net_->detach(local_);
-    }
-  }
-
- private:
-  std::shared_ptr<SimNet> net_;
-  std::shared_ptr<SimNet::Endpoint> ep_;
-  Addr local_;
-};
 
 std::shared_ptr<SimNet> SimNet::create(Config cfg) {
   auto net = std::shared_ptr<SimNet>(new SimNet(cfg));
@@ -69,33 +17,20 @@ SimNet::SimNet(Config cfg) : cfg_(cfg), rng_(cfg.seed) {}
 SimNet::~SimNet() { shutdown(); }
 
 void SimNet::shutdown() {
-  std::vector<std::shared_ptr<Endpoint>> eps;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) return;
     stopping_ = true;
-    for (auto& [addr, ep] : endpoints_) eps.push_back(ep);
   }
   cv_.notify_all();
   if (delivery_thread_.joinable()) delivery_thread_.join();
-  for (auto& ep : eps) ep->q.close();
+  close_all();
 }
 
 Result<TransportPtr> SimNet::attach(const std::string& node, uint16_t port) {
   std::lock_guard<std::mutex> lk(mu_);
   if (stopping_) return err(Errc::cancelled, "simnet shut down");
-  Addr bound = Addr::sim(node, port);
-  if (bound.port == 0) {
-    do {
-      bound.port = next_ephemeral_++;
-      if (next_ephemeral_ == 0) next_ephemeral_ = 40000;
-    } while (endpoints_.count(bound));
-  } else if (endpoints_.count(bound)) {
-    return err(Errc::already_exists, "sim addr in use: " + bound.to_string());
-  }
-  auto ep = std::make_shared<Endpoint>(cfg_.queue_depth);
-  endpoints_[bound] = ep;
-  return TransportPtr(new SimTransport(shared_from_this(), ep, bound));
+  return bind_queue(Addr::sim(node, port), cfg_.queue_depth);
 }
 
 void SimNet::set_link(const std::string& a, const std::string& b,
@@ -299,32 +234,10 @@ void SimNet::delivery_loop() {
     }
     Event ev = std::move(const_cast<Event&>(events_.top()));
     events_.pop();
-    auto it = endpoints_.find(ev.dst);
-    if (it == endpoints_.end()) {
-      dropped_++;
-      continue;
-    }
-    delivered_++;
-    auto ep = it->second;
     lk.unlock();
-    (void)ep->q.push(std::move(ev.pkt));  // full/closed queue == drop
+    deliver(ev.dst, std::move(ev.pkt));
     lk.lock();
   }
-}
-
-void SimNet::detach(const Addr& addr) {
-  std::lock_guard<std::mutex> lk(mu_);
-  endpoints_.erase(addr);
-}
-
-uint64_t SimNet::delivered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return delivered_;
-}
-
-uint64_t SimNet::dropped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return dropped_;
 }
 
 }  // namespace bertha

@@ -15,6 +15,9 @@
 //
 // Delivery runs on a single timing thread ordered by due time; with a
 // fixed seed, drop decisions and sequencer stamps are deterministic.
+// Endpoints are QueueTransports (net/queue_transport.hpp): their
+// poll_fd() is a readiness eventfd, opened only for endpoints that join
+// a reactor.
 #pragma once
 
 #include <condition_variable>
@@ -27,13 +30,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/transport.hpp"
-#include "util/queue.hpp"
+#include "net/queue_transport.hpp"
 #include "util/rand.hpp"
 
 namespace bertha {
 
-class SimNet : public std::enable_shared_from_this<SimNet> {
+class SimNet : public QueueNetwork {
  public:
   struct Config {
     Duration default_latency = us(100);
@@ -109,20 +111,11 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
   // Current winning target for a service (for tests); not_found if none.
   Result<Addr> resolve_anycast(const Addr& service) const;
 
-  uint64_t delivered() const;
-  uint64_t dropped() const;
-
   // Stops the delivery thread and closes all endpoints.
   void shutdown();
 
  private:
   explicit SimNet(Config cfg);
-
-  friend class SimTransport;
-  struct Endpoint {
-    BlockingQueue<Packet> q;
-    explicit Endpoint(size_t depth) : q(depth) {}
-  };
 
   struct Event {
     TimePoint due;
@@ -145,13 +138,13 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
     uint32_t metric;
   };
 
-  Result<void> send(const Addr& from, const Addr& to, BytesView payload);
+  Result<void> send(const Addr& from, const Addr& to,
+                    BytesView payload) override;
   void enqueue_delivery(const Addr& from, const Addr& to, Bytes payload)
       /* requires mu_ */;
   std::pair<Duration, double> link_params(const std::string& a,
                                           const std::string& b) const
       /* requires mu_ */;
-  void detach(const Addr& addr);
   void delivery_loop();
 
   Config cfg_;
@@ -160,11 +153,7 @@ class SimNet : public std::enable_shared_from_this<SimNet> {
   bool stopping_ = false;
   Rng rng_;                                  // guarded by mu_
   Duration local_latency_ = us(1);           // guarded by mu_
-  uint64_t delivered_ = 0;                   // guarded by mu_
-  uint64_t dropped_ = 0;                     // guarded by mu_
-  uint16_t next_ephemeral_ = 40000;          // guarded by mu_
   std::priority_queue<Event> events_;        // guarded by mu_
-  std::unordered_map<Addr, std::shared_ptr<Endpoint>, AddrHash> endpoints_;
   std::map<std::pair<std::string, std::string>, std::pair<Duration, double>>
       links_;
   std::unordered_map<Addr, Group, AddrHash> groups_;

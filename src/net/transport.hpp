@@ -37,9 +37,10 @@ class Transport {
   virtual void close() = 0;
 
   // OS-pollable readiness fd (readable when a datagram is waiting), or
-  // -1 for transports without one. The io Reactor multiplexes fd-backed
-  // transports on one epoll set and falls back to a pull thread for the
-  // rest.
+  // -1 for transports without one. The io Reactor multiplexes every
+  // transport on one epoll set and refuses those without an fd. Sockets
+  // return their own fd; queue-backed transports (also readable once
+  // closed) and the fault decorator build theirs on the first call.
   virtual int poll_fd() const { return -1; }
 };
 

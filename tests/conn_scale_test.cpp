@@ -16,7 +16,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -58,29 +57,8 @@ namespace bertha {
 namespace {
 
 using testing_support::FixedPeerConnection;
+using testing_support::process_threads;
 using testing_support::TestWorld;
-
-// Threads in this process, from /proc/self/stat field 20 (num_threads).
-int process_threads() {
-  FILE* f = std::fopen("/proc/self/stat", "r");
-  if (!f) return -1;
-  char buf[1024];
-  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  // Field 2 (comm) may contain spaces; parse from the closing paren.
-  char* p = std::strrchr(buf, ')');
-  if (!p) return -1;
-  int field = 2;
-  long threads = -1;
-  for (p++; *p && field <= 20; p++) {
-    if (*p == ' ') {
-      field++;
-      if (field == 20) threads = std::strtol(p + 1, nullptr, 10);
-    }
-  }
-  return static_cast<int>(threads);
-}
 
 // Poll until `pred` holds or the deadline passes (close frames and
 // table removals are asynchronous to the client's close() call).

@@ -3,10 +3,11 @@
 // post-destruction returns), native sendmmsg/recvmmsg batching on
 // UDP/UDS with partial batches and EINTR, the bulk-dequeue path on mem
 // transports, the fallback adapter for batch-unaware transports, the
-// epoll Reactor (delivery, remove/shutdown races, fd and pull-thread
-// paths), the batch chunnel's single-batched-flush regression, hop
+// epoll Reactor (delivery, remove/shutdown races, readiness fds of the
+// mem/sim/fault transports), the batch chunnel's single-batched-flush regression, hop
 // latency histograms, and the steady-state zero-allocation guarantee
 // for the UDP rx path.
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -22,7 +23,9 @@
 #include "io/batch.hpp"
 #include "io/buffer_pool.hpp"
 #include "io/reactor.hpp"
+#include "net/fault.hpp"
 #include "net/memchan.hpp"
+#include "net/simnet.hpp"
 #include "net/udp.hpp"
 #include "net/uds.hpp"
 #include "serialize/codec.hpp"
@@ -56,6 +59,7 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace bertha {
 namespace {
 
+using testing_support::process_threads;
 using testing_support::TestWorld;
 
 Bytes payload_of(std::string_view s) { return to_bytes(s); }
@@ -316,24 +320,158 @@ TEST(ReactorTest, DeliversUdpTrafficThroughEpollWorkers) {
   reactor->shutdown();
 }
 
-TEST(ReactorTest, PullThreadServesNonFdTransports) {
+// Every transport rides epoll: mem and sim endpoints and the fault
+// decorator over mem expose a readiness fd, and many registrations of
+// each are served by the reactor's workers without a thread apiece.
+TEST(ReactorTest, QueueAndFaultTransportsRideEpoll) {
+  constexpr int kPerKind = 16;
+  auto mem = MemNetwork::create();
+  auto sim = SimNet::create();
+  auto mem_tx = mem->bind(Addr::mem("tx", 1)).value();
+  auto sim_tx = sim->attach("tx", 1).value();
+  std::vector<std::shared_ptr<Transport>> rx;
+  for (int i = 0; i < kPerKind; i++) {
+    uint16_t port = static_cast<uint16_t>(100 + i);
+    rx.push_back(mem->bind(Addr::mem("rx", port)).value());
+    rx.push_back(sim->attach("rx", port).value());
+    rx.push_back(std::make_shared<FaultInjectingTransport>(
+        mem->bind(Addr::mem("faulted", port)).value(),
+        FaultInjectingTransport::Options{}));
+  }
+
+  auto reactor = Reactor::create().value();
+  int threads_before = process_threads();
+  ASSERT_GT(threads_before, 0);
+  std::atomic<size_t> got{0};
+  for (auto& t : rx) {
+    ASSERT_GE(t->poll_fd(), 0) << t->local_addr().to_string();
+    auto id = reactor->add(t, [&](std::span<Datagram> b) { got += b.size(); });
+    ASSERT_TRUE(id.ok()) << id.error().to_string();
+  }
+  EXPECT_EQ(process_threads(), threads_before)
+      << "registrations spawned threads";
+
+  for (auto& t : rx) {
+    Addr dst = t->local_addr();
+    auto& tx = dst.kind == AddrKind::sim ? sim_tx : mem_tx;
+    ASSERT_TRUE(tx->send_to(dst, payload_of("m")).ok());
+  }
+  Deadline dl = Deadline::after(seconds(10));
+  while (got.load() < rx.size() && !dl.expired()) sleep_for(ms(5));
+  EXPECT_EQ(got.load(), rx.size());
+  EXPECT_GT(reactor->stats().polls, 0u);
+  reactor->shutdown();
+}
+
+// A fault decorator that duplicates on receive returns a short batch
+// with the copies still queued inside it. Its readiness fd must stay
+// readable so the reactor comes back for them with no further traffic.
+TEST(ReactorTest, FaultDuplicatesAreNotStrandedAfterShortBatch) {
+  constexpr size_t kSends = 10;
   auto net = MemNetwork::create();
-  auto rx = net->bind(Addr::mem("rx", 1)).value();
+  FaultInjectingTransport::Options fo;
+  fo.duplicate = 1.0;
+  auto rx = std::make_shared<FaultInjectingTransport>(
+      net->bind(Addr::mem("rx", 1)).value(), fo);
   auto tx = net->bind(Addr::mem("tx", 1)).value();
-  ASSERT_EQ(rx->poll_fd(), -1);  // forces the fallback pull thread
+  // Queued before registration: the first drain takes all of them in
+  // one short batch and leaves every duplicate behind.
+  for (size_t i = 0; i < kSends; i++)
+    ASSERT_TRUE(tx->send_to(rx->local_addr(), payload_of("d")).ok());
 
   auto reactor = Reactor::create().value();
   std::atomic<size_t> got{0};
-  std::shared_ptr<Transport> shared_rx(std::move(rx));
-  auto id = reactor->add(shared_rx,
-                         [&](std::span<Datagram> b) { got += b.size(); });
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 10; i++)
-    ASSERT_TRUE(tx->send_to(Addr::mem("rx", 1), payload_of("m")).ok());
+  ASSERT_TRUE(
+      reactor->add(rx, [&](std::span<Datagram> b) { got += b.size(); }).ok());
   Deadline dl = Deadline::after(seconds(10));
-  while (got.load() < 10 && !dl.expired()) sleep_for(ms(5));
-  EXPECT_EQ(got.load(), 10u);
-  reactor->shutdown();  // shutdown (not remove) must also stop pullers
+  while (got.load() < 2 * kSends && !dl.expired()) sleep_for(ms(5));
+  EXPECT_EQ(got.load(), 2 * kSends);
+  EXPECT_EQ(rx->counters().rx_duplicated, kSends);
+  reactor->shutdown();
+}
+
+// A datagram held back for reordering is released by the next drain
+// that finds the inner transport dry, even when nothing else arrives.
+TEST(ReactorTest, FaultReorderHoldIsReleasedOnQuietLink) {
+  auto net = MemNetwork::create();
+  FaultInjectingTransport::Options fo;
+  fo.reorder = 1.0;
+  auto rx = std::make_shared<FaultInjectingTransport>(
+      net->bind(Addr::mem("rx", 1)).value(), fo);
+  auto tx = net->bind(Addr::mem("tx", 1)).value();
+  // Three queued datagrams: the first is held, the second releases it,
+  // and the third is held with nothing behind it.
+  for (int i = 0; i < 3; i++)
+    ASSERT_TRUE(
+        tx->send_to(rx->local_addr(), payload_of(std::to_string(i))).ok());
+
+  auto reactor = Reactor::create().value();
+  std::mutex mu;
+  std::vector<std::string> got;
+  ASSERT_TRUE(reactor
+                  ->add(rx,
+                        [&](std::span<Datagram> b) {
+                          std::lock_guard<std::mutex> lk(mu);
+                          for (auto& d : b)
+                            got.push_back(to_string(d.payload.view()));
+                        })
+                  .ok());
+  Deadline dl = Deadline::after(seconds(10));
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (got.size() >= 3) break;
+    }
+    ASSERT_FALSE(dl.expired()) << "held datagram stranded on a quiet link";
+    sleep_for(ms(5));
+  }
+  reactor->shutdown();
+  EXPECT_EQ(got, (std::vector<std::string>{"1", "0", "2"}));
+  EXPECT_EQ(rx->counters().rx_reordered, 2u);
+}
+
+// The reactor has one engine: a transport without a readiness fd is
+// refused rather than given a thread.
+TEST(ReactorTest, RefusesTransportWithoutReadinessFd) {
+  auto net = MemNetwork::create();
+  auto plain = std::make_shared<PlainTransport>(
+      net->bind(Addr::mem("plain", 1)).value());
+  ASSERT_EQ(plain->poll_fd(), -1);
+  auto reactor = Reactor::create().value();
+  auto id = reactor->add(plain, [](std::span<Datagram>) {});
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code, Errc::invalid_argument);
+  reactor->shutdown();
+}
+
+// Open fds in this process: the entries of /proc/self/fd.
+int process_fds() {
+  DIR* d = ::opendir("/proc/self/fd");
+  if (!d) return -1;
+  int n = 0;
+  while (::readdir(d)) n++;
+  ::closedir(d);
+  return n;
+}
+
+// Readiness fds are lazy: mem endpoints that never join a reactor open
+// no fd, however many are bound and however much they carry.
+TEST(ReactorTest, UnpolledMemEndpointsOpenNoFds) {
+  constexpr int kEndpoints = 1000;
+  auto net = MemNetwork::create();
+  int fds_before = process_fds();
+  ASSERT_GT(fds_before, 0);
+  std::vector<TransportPtr> eps;
+  for (int i = 0; i < kEndpoints; i++)
+    eps.push_back(net->bind(Addr::mem("many", 0)).value());
+  for (int i = 0; i < kEndpoints; i++) {
+    auto& next = eps[static_cast<size_t>((i + 1) % kEndpoints)];
+    ASSERT_TRUE(eps[static_cast<size_t>(i)]
+                    ->send_to(next->local_addr(), payload_of("x"))
+                    .ok());
+  }
+  for (auto& ep : eps) ASSERT_TRUE(ep->recv(Deadline::after(seconds(5))).ok());
+  EXPECT_EQ(process_fds(), fds_before);
 }
 
 TEST(ReactorTest, ShutdownWakesIdleWorkersPromptly) {
@@ -384,7 +522,7 @@ TEST(ReactorTest, ClosingTransportRetiresRegistration) {
   std::shared_ptr<Transport> shared_rx(std::move(rx));
   auto id = reactor->add(shared_rx, [](std::span<Datagram>) {});
   ASSERT_TRUE(id.ok());
-  shared_rx->close();  // pull thread sees cancelled and retires
+  shared_rx->close();  // close-readiness: the drain sees cancelled, retires
   sleep_for(ms(50));
   reactor->remove(id.value());  // already-retired id: no-op, no deadlock
   reactor->shutdown();

@@ -755,5 +755,64 @@ TEST(LiveTransitionTest, TransitionEpochsCarryServerIdentitySalt) {
   EXPECT_EQ(tc->epoch(), t->epoch());
 }
 
+// --- controller ownership: teardown never lands on its thread ---
+
+// An impl whose late on_listen keeps the controller thread inside a call
+// on the listener for a while, and says when it started. The while is
+// longer than a listener close takes, so the close ends inside it.
+class SlowListenChunnel final : public ChunnelImpl {
+ public:
+  SlowListenChunnel(ImplInfo info, std::atomic<bool>& entered)
+      : info_(std::move(info)), entered_(entered) {}
+  const ImplInfo& info() const override { return info_; }
+  Result<ConnPtr> wrap(ConnPtr inner, WrapContext&) override { return inner; }
+  Result<void> on_listen(ListenContext&) override {
+    entered_ = true;
+    sleep_for(ms(100));
+    return ok();
+  }
+
+ private:
+  ImplInfo info_;
+  std::atomic<bool>& entered_;
+};
+
+// A listener owns its runtime, and the runtime's teardown joins the
+// controller thread. If the controller held the last ref to a listener,
+// dropping it would run ~Runtime on the controller thread, which then
+// joins itself (std::terminate). A new impl's watch event makes the
+// controller run its on_listen on the listener; drop the last outside
+// refs to the runtime and the listener meanwhile, many times, in both
+// orders.
+TEST(TransitionControllerTest, TeardownDuringControllerCallNeverSelfJoins) {
+  auto world = TestWorld::make();
+  for (int i = 0; i < 10; i++) {
+    std::string host = "h-teardown" + std::to_string(i);
+    auto rt = mem_runtime(world, host, world.discovery, false);
+    auto listener = rt->endpoint("srv", wrap(ChunnelSpec("offload")))
+                        .value()
+                        .listen(Addr::mem(host, 1))
+                        .value();
+    std::atomic<bool> entered{false};
+    ImplInfo info = offload_info("offload/late" + std::to_string(i), 0);
+    ASSERT_TRUE(
+        rt->register_chunnel(std::make_shared<SlowListenChunnel>(info, entered))
+            .ok());
+    ASSERT_TRUE(world.discovery->register_impl(info).ok());
+    Deadline dl = Deadline::after(seconds(10));
+    while (!entered.load()) {
+      ASSERT_FALSE(dl.expired()) << "controller never ran the late on_listen";
+      sleep_for(us(100));
+    }
+    if (i % 2) {
+      rt.reset();  // the listener now holds the last ref to the runtime
+      listener.reset();
+    } else {
+      listener.reset();
+      rt.reset();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bertha

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 
@@ -59,6 +62,28 @@ struct TestWorld {
     return runtime;
   }
 };
+
+// Threads in this process, from /proc/self/stat field 20 (num_threads).
+inline int process_threads() {
+  FILE* f = std::fopen("/proc/self/stat", "r");
+  if (!f) return -1;
+  char buf[1024];
+  size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  std::fclose(f);
+  buf[n] = '\0';
+  // Field 2 (comm) may contain spaces; parse from the closing paren.
+  char* p = std::strrchr(buf, ')');
+  if (!p) return -1;
+  int field = 2;
+  long threads = -1;
+  for (p++; *p && field <= 20; p++) {
+    if (*p == ' ') {
+      field++;
+      if (field == 20) threads = std::strtol(p + 1, nullptr, 10);
+    }
+  }
+  return static_cast<int>(threads);
+}
 
 // Minimal base connection over a transport with a fixed peer: the
 // bottom of hand-wrapped chunnel stacks.
