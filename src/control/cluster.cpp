@@ -57,16 +57,10 @@ size_t ClusterDiscovery::partitions() const {
 }
 
 ClusterDiscovery::~ClusterDiscovery() {
-  stopping_.store(true);
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(fan_mu_);
-    for (auto& [idx, w] : fan_upstreams_) w->cancel();
-    for (auto& w : fan_outs_) w->cancel();
-    threads.swap(fan_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  // Cancelling an upstream waits out its sink, so no relay runs past here.
+  std::lock_guard<std::mutex> lk(fan_mu_);
+  for (auto& [idx, w] : fan_upstreams_) w->cancel();
+  for (auto& w : fan_outs_) w->cancel();
 }
 
 Result<void> ClusterDiscovery::register_impl(const ImplInfo& info) {
@@ -128,10 +122,7 @@ Result<WatcherPtr> ClusterDiscovery::watch(const std::string& type_filter) {
     if (!c) return err(Errc::unavailable, "partition client re-steering");
     return c->watch(type_filter);
   }
-  // Catalogue-wide: fan in one stream per partition. The merged stream
-  // is its own seq domain (per-partition seqs are incomparable), so
-  // events are re-stamped from a local counter; per-partition order is
-  // preserved because each upstream has exactly one forwarder.
+  // Catalogue-wide: fan in one stream per partition.
   auto out = std::make_shared<DiscoveryWatcher>("");
   std::vector<std::pair<size_t, std::shared_ptr<RemoteDiscovery>>> cs;
   {
@@ -145,27 +136,27 @@ Result<WatcherPtr> ClusterDiscovery::watch(const std::string& type_filter) {
   }
   std::lock_guard<std::mutex> lk(fan_mu_);
   for (auto& [i, w] : ups) {
+    fan_in(w, out);
     fan_upstreams_.emplace_back(i, w);
-    fan_threads_.emplace_back([this, w, out] { fan_in_loop(w, out); });
   }
   fan_outs_.push_back(out);
   return out;
 }
 
-void ClusterDiscovery::fan_in_loop(WatcherPtr upstream, WatcherPtr out) {
-  // Poll-with-deadline so cancellation of the *output* watcher (which
-  // this thread cannot block on) is noticed promptly.
-  while (!stopping_.load() && !out->cancelled()) {
-    auto batch = upstream->next_batch(Deadline::after(ms(50)));
-    if (!batch.ok()) {
-      if (batch.error().code == Errc::timed_out) continue;
-      break;  // upstream cancelled (client shutdown or partition retired)
-    }
-    std::vector<WatchEvent> evs = std::move(batch).value();
-    for (auto& ev : evs) ev.seq = fan_seq_.fetch_add(1) + 1;
+void ClusterDiscovery::fan_in(const WatcherPtr& upstream,
+                              const WatcherPtr& out) {
+  // The merged stream is its own seq domain (per-partition seqs are
+  // incomparable), so the upstream's reader thread re-stamps each batch
+  // from a local counter as it delivers it; fan_seq_mu_ keeps the
+  // stamps in queue order across partitions.
+  upstream->set_sink([this, out](std::vector<WatchEvent> evs) {
+    std::lock_guard<std::mutex> lk(fan_seq_mu_);
+    for (auto& ev : evs) ev.seq = ++fan_seq_;
     out->deliver_batch(std::move(evs));
-  }
-  upstream->cancel();
+  });
+  // Cancelling the merged watcher cancels the upstream, and its client
+  // then unsubscribes.
+  out->on_cancel([upstream] { upstream->cancel(); });
 }
 
 bool ClusterDiscovery::degraded() const {
@@ -205,8 +196,7 @@ Result<void> ClusterDiscovery::apply_membership(const ClusterMembership& m) {
   }
   {
     std::lock_guard<std::mutex> lk(fan_mu_);
-    // Merge: cancel the retired partitions' upstream streams (their
-    // forwarder threads exit on the cancel).
+    // Merge: cancel the retired partitions' upstream streams.
     size_t live = 0;
     for (auto& [idx, w] : fan_upstreams_) {
       if (idx >= m.partitions.size())
@@ -221,11 +211,12 @@ Result<void> ClusterDiscovery::apply_membership(const ClusterMembership& m) {
     // events already fanned in are idempotent for catalogue consumers.
     for (auto& [idx, c] : grown) {
       for (auto& out : fan_outs_) {
+        if (out->cancelled()) continue;
         auto w_r = c->watch("");
         if (!w_r.ok()) continue;
         WatcherPtr w = std::move(w_r).value();
+        fan_in(w, out);
         fan_upstreams_.emplace_back(idx, w);
-        fan_threads_.emplace_back([this, w, out] { fan_in_loop(w, out); });
       }
     }
   }

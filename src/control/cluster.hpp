@@ -9,9 +9,11 @@
 //    through a multi-server RemoteDiscovery that fails over between the
 //    partition's replicas on RPC timeout or watch-stream silence. The
 //    catalogue-wide watch (empty filter) fans in every partition's
-//    stream into one watcher. apply_membership() adopts a newer
-//    versioned cluster config (replicas added/removed online) and
-//    re-steers every partition client.
+//    stream into one watcher; each partition client's reader thread
+//    relays its batches inline, so a fan-in costs no thread.
+//    apply_membership() adopts a newer versioned cluster config
+//    (replicas added/removed online) and re-steers every partition
+//    client.
 //
 //  * DiscoveryCluster — the in-process harness that stands up the whole
 //    control plane (per partition: a sequencer candidate list plus R
@@ -24,11 +26,9 @@
 //    snapshot before serving.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chunnels/ordered_mcast.hpp"
@@ -85,7 +85,9 @@ class ClusterDiscovery final : public DiscoveryClient {
 
  private:
   explicit ClusterDiscovery(size_t partitions) : map_(partitions) {}
-  void fan_in_loop(WatcherPtr upstream, WatcherPtr out);
+  // Relays `upstream` into the merged watcher `out` inline, and ties the
+  // upstream's cancellation to out's.
+  void fan_in(const WatcherPtr& upstream, const WatcherPtr& out);
   std::shared_ptr<RemoteDiscovery> client_for(size_t idx) const;
   Result<std::shared_ptr<RemoteDiscovery>> connect_partition(
       const std::vector<Addr>& servers) const;
@@ -102,11 +104,11 @@ class ClusterDiscovery final : public DiscoveryClient {
   // tagged with their partition index so a merge can cancel the streams
   // of retired partitions.
   std::mutex fan_mu_;
-  std::atomic<uint64_t> fan_seq_{0};
   std::vector<std::pair<size_t, WatcherPtr>> fan_upstreams_;
   std::vector<WatcherPtr> fan_outs_;
-  std::vector<std::thread> fan_threads_;
-  std::atomic<bool> stopping_{false};
+  // Taken by the upstream sinks (never with fan_mu_ held by them).
+  std::mutex fan_seq_mu_;
+  uint64_t fan_seq_ = 0;
 };
 
 // The full control plane, dogfooded on Bertha's own stacks: ordered

@@ -38,7 +38,8 @@ Result<std::unique_ptr<DiscoveryReplica>> DiscoveryReplica::start(
   DiscoveryReplica* raw = rep.get();
   rep->member_thread_ = std::thread([raw] { raw->member_loop(); });
   if (rep->opts_.sweep_period > Duration::zero())
-    rep->sweep_thread_ = std::thread([raw] { raw->sweep_loop(); });
+    rep->sweep_timer_ = process_wheel()->schedule_periodic(
+        rep->opts_.sweep_period, [raw] { raw->propose_sweep(); });
   return rep;
 }
 
@@ -69,11 +70,10 @@ void DiscoveryReplica::stop() {
   }
   {
     std::lock_guard<std::mutex> lk(server_mu_);
-    server_.reset();  // closes the rpc transport, joins serve/push threads
+    server_.reset();  // closes the rpc transport, joins the serve thread
     if (boot_rpc_) boot_rpc_->close();  // server never got created
   }
-  sweep_cv_.notify_all();
-  if (sweep_thread_.joinable()) sweep_thread_.join();
+  if (sweep_timer_) process_wheel()->cancel_sync(sweep_timer_);
   member_->close();
   if (member_thread_.joinable()) member_thread_.join();
   {
@@ -596,7 +596,7 @@ void DiscoveryReplica::serve_snapshot(const CtrlSnapshotReq& req) {
     std::lock_guard<std::mutex> lk(server_mu_);
     if (server_) {
       rsp.event_log =
-          server_->export_event_log(rsp.state.watch_seq, Deadline::after(ms(100)));
+          server_->export_event_log(rsp.state.watch_seq);
     } else {
       rsp.event_log.pruned_through = rsp.state.watch_seq;
       rsp.event_log.observed_through = rsp.state.watch_seq;
@@ -815,8 +815,7 @@ void DiscoveryReplica::apply_reshard(const ReshardOp& rop, uint64_t seq) {
       {
         std::lock_guard<std::mutex> slk(server_mu_);
         if (server_) {
-          p.event_log = server_->export_event_log(cut.watch_seq,
-                                                  Deadline::after(ms(100)));
+          p.event_log = server_->export_event_log(cut.watch_seq);
         } else {
           p.event_log.pruned_through = cut.watch_seq;
           p.event_log.observed_through = cut.watch_seq;
@@ -1096,24 +1095,19 @@ void DiscoveryReplica::mirror_heartbeat(const DiscRequest& req) {
   for (const auto& d : dst) (void)fwd_->send_to(d, frame);
 }
 
-void DiscoveryReplica::sweep_loop() {
-  std::unique_lock<std::mutex> lk(sweep_mu_);
-  while (!stopping_.load()) {
-    sweep_cv_.wait_for(lk, opts_.sweep_period);
-    if (stopping_.load()) return;
-    // Idempotent replicated sweep: every replica proposes one, all
-    // replicas apply all of them; expiry happens at a point *in the op
-    // stream*, not at a local clock tick. The steady trickle doubles as
-    // keepalive traffic that exposes sequence gaps promptly — and as the
-    // sequencer liveness signal view-change detection relies on.
-    CtrlOp op;
-    op.kind = CtrlOpKind::sweep;
-    op.origin = opts_.replica_id;
-    op.time_ns = now().time_since_epoch().count();
-    (void)member_->send_to(
-        sequencer_for(cur_view_.load(std::memory_order_acquire)),
-        mcast_frame(member_addr_, encode_ctrl_op(op)));
-  }
+void DiscoveryReplica::propose_sweep() {
+  // Idempotent replicated sweep: every replica proposes one, all
+  // replicas apply all of them; expiry happens at a point *in the op
+  // stream*, not at a local clock tick. The steady trickle doubles as
+  // keepalive traffic that exposes sequence gaps promptly — and as the
+  // sequencer liveness signal view-change detection relies on.
+  CtrlOp op;
+  op.kind = CtrlOpKind::sweep;
+  op.origin = opts_.replica_id;
+  op.time_ns = now().time_since_epoch().count();
+  (void)member_->send_to(
+      sequencer_for(cur_view_.load(std::memory_order_acquire)),
+      mcast_frame(member_addr_, encode_ctrl_op(op)));
 }
 
 }  // namespace bertha

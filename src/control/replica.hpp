@@ -38,10 +38,11 @@
 //    replicated applied-proposal ids make re-proposed ops at-most-once.
 //
 // Lease expiry is replicated too: each replica proposes an idempotent
-// sweep op on a timer (CtrlOpKind::sweep) instead of sweeping from its
-// local clock, so all replicas reap the same owners at the same point
-// in the op stream. The local DiscoveryState runs with manual sweep and
-// a partition-namespaced allocation counter.
+// sweep op (CtrlOpKind::sweep) from a periodic process_wheel() entry
+// instead of sweeping from its local clock, so all replicas reap the
+// same owners at the same point in the op stream. The local
+// DiscoveryState runs with manual sweep and a partition-namespaced
+// allocation counter.
 #pragma once
 
 #include <atomic>
@@ -202,7 +203,8 @@ class DiscoveryReplica {
   // The DiscoveryServer mutation hook: encode, sequence, wait for apply.
   DiscResponse propose(const DiscRequest& req);
   void member_loop();
-  void sweep_loop();
+  // The sweep_period wheel entry: proposes one replicated sweep op.
+  void propose_sweep();
   // Applies one decoded sequenced op to the local state.
   void apply(uint64_t seq, BytesView ctrl_frame);
 
@@ -319,9 +321,7 @@ class DiscoveryReplica {
   ViewChangeRound vc_;
   size_t catchup_rr_ = 0;  // rotates the first peer tried
 
-  std::condition_variable sweep_cv_;
-  std::mutex sweep_mu_;
-  std::thread sweep_thread_;
+  uint64_t sweep_timer_ = 0;  // periodic process_wheel() entry
   std::thread member_thread_;
 };
 

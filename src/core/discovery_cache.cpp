@@ -13,7 +13,7 @@ CachingDiscovery::CachingDiscovery(DiscoveryPtr inner, Options opts,
 }
 
 CachingDiscovery::~CachingDiscovery() {
-  std::vector<std::pair<WatcherPtr, std::thread>> forwarders;
+  std::vector<WatcherPtr> forwarders;
   std::vector<std::weak_ptr<DiscoveryWatcher>> watchers;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -22,12 +22,12 @@ CachingDiscovery::~CachingDiscovery() {
     watchers.swap(watchers_);
   }
   probe_cv_.notify_all();
-  for (auto& [w, t] : forwarders) w->cancel();
+  // Cancelling an inner watcher waits out its sink, so no forward runs
+  // against a dying cache.
+  for (auto& w : forwarders) w->cancel();
   for (auto& w : watchers)
     if (auto sp = w.lock()) sp->cancel();
   if (probe_thread_.joinable()) probe_thread_.join();
-  for (auto& [w, t] : forwarders)
-    if (t.joinable()) t.join();
 }
 
 bool CachingDiscovery::degraded() const {
@@ -229,13 +229,24 @@ Result<WatcherPtr> CachingDiscovery::watch(const std::string& type_filter) {
   auto inner_w = inner_->watch(type_filter);
   if (inner_w.ok()) {
     WatcherPtr iw = std::move(inner_w).value();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_) {
-      iw->cancel();
-      return err(Errc::cancelled, "discovery client closing");
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (stopping_) {
+        iw->cancel();
+        return err(Errc::cancelled, "discovery client closing");
+      }
+      forwarders_.push_back(iw);
     }
-    forwarders_.emplace_back(
-        iw, std::thread([this, iw, local] { forward_loop(iw, local); }));
+    // The inner stream's producer (the state's emit, or a remote
+    // client's reader thread) runs the forward inline.
+    iw->set_sink([this, local](std::vector<WatchEvent> batch) {
+      apply_events(batch);
+      std::vector<WatchEvent> fwd;
+      for (auto& ev : batch)
+        if (local->wants(ev)) fwd.push_back(std::move(ev));
+      if (!fwd.empty()) local->deliver_batch(std::move(fwd));
+    });
+    local->on_cancel([iw] { iw->cancel(); });
   }
   return local;
 }
@@ -265,21 +276,6 @@ void CachingDiscovery::apply_events(const std::vector<WatchEvent>& events) {
       case WatchKind::pool_freed:
         break;  // capacity is not cached
     }
-  }
-}
-
-void CachingDiscovery::forward_loop(WatcherPtr inner_w, WatcherPtr local) {
-  while (!local->cancelled()) {
-    auto batch = inner_w->next_batch(Deadline::after(ms(100)));
-    if (batch.ok()) {
-      apply_events(batch.value());
-      std::vector<WatchEvent> fwd;
-      for (auto& ev : batch.value())
-        if (local->wants(ev)) fwd.push_back(std::move(ev));
-      if (!fwd.empty()) local->deliver_batch(std::move(fwd));
-      continue;
-    }
-    if (batch.error().code == Errc::cancelled) break;  // inner watch died
   }
 }
 

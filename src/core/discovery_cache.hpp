@@ -18,6 +18,10 @@
 // the degraded -> healthy edge — the unleased analogue of the lease
 // heartbeat's lost-lease replay. Each replayed mutation emits a trace
 // span (discovery.replay_write).
+//
+// Inner watch streams are relayed inline by their producer's thread.
+// Only the recovery probe owns a thread: a probe is a query that may
+// block for the inner client's full RPC timeout and retries.
 #pragma once
 
 #include <condition_variable>
@@ -89,7 +93,6 @@ class CachingDiscovery final : public DiscoveryClient {
   // mu_ NOT held.
   void note(bool healthy);
   void probe_loop();
-  void forward_loop(WatcherPtr inner_w, WatcherPtr local);
   // Folds a forwarded event batch into the cached catalogue so a
   // degraded -> recovered client is caught up by the stream's seq-resume
   // instead of re-priming every type with fresh queries.
@@ -105,7 +108,7 @@ class CachingDiscovery final : public DiscoveryClient {
   bool degraded_ = false;
   uint64_t seq_ = 0;
   std::vector<std::weak_ptr<DiscoveryWatcher>> watchers_;
-  std::vector<std::pair<WatcherPtr, std::thread>> forwarders_;
+  std::vector<WatcherPtr> forwarders_;  // inner watchers, relaying inline
   bool stopping_ = false;
   std::condition_variable probe_cv_;
   std::thread probe_thread_;

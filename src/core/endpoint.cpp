@@ -1508,7 +1508,13 @@ void Listener::Impl::rollback(const std::shared_ptr<TransitionRecord>& rec,
   // serve. Sent before the new stack's close frame so a reverting client
   // processes the cancel first (per-path FIFO). Best effort: a lost
   // cancel leaves the client stuck exactly as it would have been without
-  // this notice.
+  // this notice. Counted first: a client acting on it finds it recorded.
+  stat([declined](TransitionStats& s) {
+    if (declined)
+      s.declined++;
+    else
+      s.rolled_back++;
+  });
   {
     std::shared_ptr<Transport> t;
     Addr dst;
@@ -1523,20 +1529,14 @@ void Listener::Impl::rollback(const std::shared_ptr<TransitionRecord>& rec,
       cancel.trace = rec->trace;
       Bytes frame = encode_frame(MsgKind::transition_cancel, rec->old_token,
                                  encode_transition_cancel(cancel));
-      (void)t->send_to(dst, frame);
       stat([](TransitionStats& s) { s.cancels_sent++; });
+      (void)t->send_to(dst, frame);
     }
   }
   rec->new_st->incoming.close();
   for (const auto& a : rec->new_allocs)
     (void)rt_->discovery().release(a.alloc_id);
   rec->new_stack->close();
-  stat([declined](TransitionStats& s) {
-    if (declined)
-      s.declined++;
-    else
-      s.rolled_back++;
-  });
 }
 
 void Listener::Impl::transition_drained(uint64_t old_token, bool forced,

@@ -261,7 +261,15 @@ void TimerWheel::stop() {
   }
   stop_cv_.notify_all();
   std::lock_guard<std::mutex> jlk(join_mu_);
-  if (driver_.joinable()) driver_.join();
+  if (!driver_.joinable()) return;
+  // Stopped from one of its own callbacks (say, one that dropped the last
+  // reference to the runtime owning the wheel): a thread cannot join
+  // itself. The driver leaves its loop after this tick, and its own
+  // reference (create()'s capture) keeps the wheel alive until then.
+  if (driver_.get_id() == std::this_thread::get_id())
+    driver_.detach();
+  else
+    driver_.join();
 }
 
 TimerWheel::Stats TimerWheel::stats() const {

@@ -81,7 +81,9 @@ class TimerWheel {
   void advance(Duration d);
 
   // Stops the driver thread (idempotent; destructor calls it). Armed
-  // timers stop firing; cancel() still works.
+  // timers stop firing; cancel() still works. Safe to call from a
+  // callback: the driver is then detached instead of joined, and exits
+  // when the tick it is running returns.
   void stop();
 
   struct Stats {
@@ -168,6 +170,32 @@ class TimerWheel {
 };
 
 using TimerWheelPtr = std::shared_ptr<TimerWheel>;
+
+// Guards wheel callbacks that reach their owner by raw pointer: wrap()'s
+// callbacks run under the gate's lock while it is open, so once close()
+// returns none runs again. An owner of re-armed one-shot entries closes
+// it in its destructor (holding none of its own locks) instead of
+// tracking ids; entries still armed fire as no-ops.
+class TimerGate {
+ public:
+  TimerWheel::Callback wrap(std::function<void()> fn) const {
+    return [s = s_, fn = std::move(fn)] {
+      std::lock_guard<std::recursive_mutex> lk(s->mu);
+      if (s->open) fn();
+    };
+  }
+  void close() {
+    std::lock_guard<std::recursive_mutex> lk(s_->mu);
+    s_->open = false;
+  }
+
+ private:
+  struct Shared {
+    std::recursive_mutex mu;
+    bool open = true;
+  };
+  std::shared_ptr<Shared> s_ = std::make_shared<Shared>();
+};
 
 // Folds scale.wheel.* counters into the registry (provider style: the
 // wheel's stats() remains the source of truth).

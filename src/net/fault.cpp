@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "io/timer_wheel.hpp"
+
 namespace bertha {
 
 FaultInjectingTransport::FaultInjectingTransport(TransportPtr inner,
@@ -18,42 +20,10 @@ FaultInjectingTransport::FaultInjectingTransport(TransportPtr inner,
   if (opts_.delay_max < opts_.delay_min) opts_.delay_max = opts_.delay_min;
 }
 
-FaultInjectingTransport::~FaultInjectingTransport() {
-  close();
-  if (timer_.joinable()) timer_.join();
-}
-
-void FaultInjectingTransport::ensure_timer_locked() {
-  if (timer_started_ || closing_) return;
-  timer_started_ = true;
-  timer_ = std::thread([this] { timer_loop(); });
-}
-
-void FaultInjectingTransport::timer_loop() {
-  auto by_due = [](const Delayed& a, const Delayed& b) { return a.due > b.due; };
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!closing_) {
-    if (delay_q_.empty()) {
-      delay_cv_.wait(lk);
-      continue;
-    }
-    TimePoint due = delay_q_.front().due;
-    if (now() < due) {
-      delay_cv_.wait_until(lk, due);
-      continue;
-    }
-    std::pop_heap(delay_q_.begin(), delay_q_.end(), by_due);
-    Delayed d = std::move(delay_q_.back());
-    delay_q_.pop_back();
-    lk.unlock();
-    (void)inner_->send_to(d.dst, d.payload);
-    lk.lock();
-  }
-}
+FaultInjectingTransport::~FaultInjectingTransport() { close(); }
 
 Result<void> FaultInjectingTransport::send_to(const Addr& dst,
                                               BytesView payload) {
-  auto by_due = [](const Delayed& a, const Delayed& b) { return a.due > b.due; };
   std::optional<std::pair<Addr, Bytes>> flush;
   bool dup = false;
   {
@@ -73,11 +43,14 @@ Result<void> FaultInjectingTransport::send_to(const Addr& dst,
       n_.tx_delayed++;
       Duration extra(
           rng_.next_in(opts_.delay_min.count(), opts_.delay_max.count()));
-      delay_q_.push_back({now() + extra, dst, Bytes(payload.begin(),
-                                                    payload.end())});
-      std::push_heap(delay_q_.begin(), delay_q_.end(), by_due);
-      ensure_timer_locked();
-      delay_cv_.notify_all();
+      // One wheel entry per delayed datagram. It holds the inner
+      // transport rather than this decorator, so it needs no cancel: a
+      // datagram due after close() meets a closed transport and is lost.
+      process_wheel()->schedule(
+          extra, [inner = inner_, dst,
+                  bytes = Bytes(payload.begin(), payload.end())] {
+            (void)inner->send_to(dst, bytes);
+          });
       if (!dup) return {};
       // A duplicated+delayed datagram: one copy now, one later.
       dup = false;
@@ -210,14 +183,7 @@ Result<size_t> FaultInjectingTransport::recv_batch(std::span<Datagram> out,
   return n;
 }
 
-void FaultInjectingTransport::close() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    closing_ = true;
-  }
-  delay_cv_.notify_all();
-  inner_->close();
-}
+void FaultInjectingTransport::close() { inner_->close(); }
 
 void FaultInjectingTransport::partition(bool tx, bool rx) {
   std::lock_guard<std::mutex> lk(mu_);

@@ -15,15 +15,15 @@
 // released by the first receive that finds the inner transport dry, and
 // recv_batch() runs the scalar pipeline until it is full or dry, so a
 // short batch leaves nothing behind.
+//
+// A delayed send is one process_wheel() entry per datagram; the
+// decorator owns no thread.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <thread>
-#include <vector>
 
 #include "io/batch.hpp"
 #include "net/fd_util.hpp"
@@ -92,22 +92,14 @@ class FaultInjectingTransport final : public Transport,
   Transport& inner() { return *inner_; }
 
  private:
-  struct Delayed {
-    TimePoint due;
-    Addr dst;
-    Bytes payload;
-  };
-
   // Re-syncs rx_ready_ with rx_pending_/rx_held_ when a receive returns.
   struct RxReadySync {
     FaultInjectingTransport& t;
     ~RxReadySync();
   };
 
-  void timer_loop();
-  void ensure_timer_locked();
-
-  TransportPtr inner_;
+  // Shared with the wheel entries of delayed sends.
+  std::shared_ptr<Transport> inner_;
   Options opts_;
 
   mutable std::mutex mu_;
@@ -124,13 +116,6 @@ class FaultInjectingTransport final : public Transport,
   // rx_pending_ or rx_held_ holds a datagram.
   mutable Fd rx_poll_;
   mutable Fd rx_ready_;
-
-  // Delayed sends, flushed by a lazily started timer thread.
-  std::vector<Delayed> delay_q_;  // min-heap by due time
-  std::condition_variable delay_cv_;
-  std::thread timer_;
-  bool timer_started_ = false;
-  bool closing_ = false;
 };
 
 // TransportFactory wrapper: every bound transport is fault-injected with

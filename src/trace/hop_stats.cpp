@@ -67,6 +67,8 @@ MetricsRegistry::HistogramSummary AtomicHistogram::summarize() const {
   s.mean = mean();
   s.p50 = percentile(50);
   s.p95 = percentile(95);
+  s.p99 = percentile(99);
+  s.p999 = percentile(99.9);
   return s;
 }
 

@@ -45,6 +45,8 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
       s.mean = h.mean();
       s.p50 = h.percentile(50);
       s.p95 = h.percentile(95);
+      s.p99 = h.percentile(99);
+      s.p999 = h.percentile(99.9);
       snap.histograms[name] = s;
     }
     providers.reserve(providers_.size());
@@ -102,7 +104,8 @@ std::string MetricsRegistry::to_string() const {
   for (const auto& [name, v] : snap.gauges) os << name << " " << v << "\n";
   for (const auto& [name, h] : snap.histograms)
     os << name << "{count=" << h.count << " mean=" << h.mean
-       << " p50=" << h.p50 << " p95=" << h.p95 << "}\n";
+       << " p50=" << h.p50 << " p95=" << h.p95 << " p99=" << h.p99
+       << " p999=" << h.p999 << "}\n";
   return os.str();
 }
 

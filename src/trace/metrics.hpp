@@ -36,6 +36,8 @@ class MetricsRegistry {
     double mean = 0;
     double p50 = 0;
     double p95 = 0;
+    double p99 = 0;
+    double p999 = 0;
   };
 
   struct Snapshot {
@@ -57,7 +59,7 @@ class MetricsRegistry {
   GaugePtr gauge(const std::string& name);
 
   // Adds one sample to the named histogram (log-bucketed; summarized as
-  // count/mean/p50/p95 in the snapshot).
+  // count/mean/p50/p95/p99/p999 in the snapshot).
   void observe(const std::string& name, double value);
 
   // `name` is only for diagnostics/replacement: re-attaching under the
@@ -66,7 +68,8 @@ class MetricsRegistry {
 
   Snapshot snapshot() const;
 
-  // "name value" lines, sorted; histograms as name{count,mean,p50,p95}.
+  // "name value" lines, sorted; histograms as
+  // name{count,mean,p50,p95,p99,p999}.
   std::string to_string() const;
 
  private:

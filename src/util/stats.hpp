@@ -26,7 +26,7 @@ struct FaultStats {
   std::atomic<uint64_t> dedup_hits{0};      // replays served from the cache
   std::atomic<uint64_t> lease_grants{0};
   std::atomic<uint64_t> lease_renewals{0};
-  std::atomic<uint64_t> lease_expiries{0};  // owners reaped by the sweeper
+  std::atomic<uint64_t> lease_expiries{0};  // owners reaped by the sweep
   std::atomic<uint64_t> heartbeats_sent{0};
   std::atomic<uint64_t> lease_recoveries{0};  // re-registers after lost lease
   std::atomic<uint64_t> degraded_entries{0};

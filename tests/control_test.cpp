@@ -18,6 +18,8 @@
 namespace bertha {
 namespace {
 
+using testing_support::process_threads;
+
 ImplInfo info_of(const std::string& type, const std::string& name,
                  std::vector<ResourceReq> resources = {}) {
   ImplInfo i;
@@ -214,6 +216,90 @@ TEST(ControlTest, EmptyFilterWatchFansInAllPartitions) {
   }
   EXPECT_TRUE(seen.count(t0 + "/a"));
   EXPECT_TRUE(seen.count(t1 + "/b"));
+}
+
+// Each partition client's reader thread relays its stream into the
+// merged watcher inline: more catalogue-wide watches add no threads.
+TEST(ControlTest, FanInWatchesAddNoThreads) {
+  auto net = MemNetwork::create();
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.server.coalesce_window = ms(2);
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+  auto obs = cluster->client("obs").value();
+  auto writer = cluster->client("wr").value();
+
+  // The first watch starts every partition client's reader thread.
+  std::vector<WatcherPtr> ws{obs->watch("").value()};
+  int before = process_threads();
+  for (int i = 0; i < 16; i++) ws.push_back(obs->watch("").value());
+  EXPECT_EQ(process_threads(), before);
+
+  auto [t0, t1] = split_keys(obs->partition_map(), "fan");
+  ASSERT_TRUE(writer->register_impl(info_of(t0, t0 + "/a")).ok());
+  ASSERT_TRUE(writer->register_impl(info_of(t1, t1 + "/b")).ok());
+  for (auto& w : ws) {
+    std::set<std::string> seen;
+    Deadline dl = Deadline::after(seconds(5));
+    while (seen.size() < 2 && !dl.expired()) {
+      auto ev = w->next(Deadline::after(ms(100)));
+      if (ev.ok()) seen.insert(ev.value().name);
+    }
+    EXPECT_TRUE(seen.count(t0 + "/a") && seen.count(t1 + "/b"));
+  }
+}
+
+// Cancelling the merged watcher cancels its per-partition upstreams, and
+// their clients unsubscribe from every partition's server.
+TEST(ControlTest, CancelledFanInWatchUnsubscribesUpstreams) {
+  auto net = MemNetwork::create();
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.server.keepalive = ms(20);
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+  auto obs = cluster->client("obs").value();
+  auto subscribers = [&] {
+    return cluster->replica(0, 0)->server().subscriber_count() +
+           cluster->replica(1, 0)->server().subscriber_count();
+  };
+
+  auto w = obs->watch("").value();
+  EXPECT_EQ(subscribers(), 2u);
+  w->cancel();
+  Deadline dl = Deadline::after(seconds(5));
+  while (subscribers() > 0 && !dl.expired()) sleep_for(ms(5));
+  EXPECT_EQ(subscribers(), 0u) << "upstream subscriptions outlived the merge";
+}
+
+// A replica's sweep proposer and its server's push rounds and keepalives
+// are wheel entries: per replica only the member loop and the serve loop
+// own threads (plus one per sequencer).
+TEST(ControlTest, ReplicaThreadsAreMemberAndServeOnly) {
+  (void)process_wheel();
+  int before = process_threads();
+  auto net = MemNetwork::create();
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 1;
+  cfg.replicas = 3;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.sweep_period = ms(20);
+  cfg.replica.server.keepalive = ms(20);
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+  // Push is live: a watch stream and a leased registration exercise
+  // the push round, keepalives and replicated sweeps.
+  RemoteDiscovery::Options rpc;
+  rpc.lease_ttl = ms(200);
+  auto client = cluster->client("c0", rpc).value();
+  auto w = client->watch("offload").value();
+  ASSERT_TRUE(client->register_impl(info_of("offload", "o/x")).ok());
+  ASSERT_TRUE(w->next(Deadline::after(seconds(2))).ok());
+  int client_threads = 1;  // the partition client's reader
+  EXPECT_EQ(process_threads() - before, 3 * 2 + 1 + client_threads);
+  EXPECT_GT(cluster->replica(0, 0)->server().batches_pushed(), 0u);
 }
 
 // --- Replication ---
@@ -631,7 +717,15 @@ TEST(ControlRecoveryTest, EvictedGapTriggersCatchupNotSkip) {
   auto stats = std::make_shared<FaultStats>();
   // Tiny sequencer resend log: a replica that falls behind by more than
   // 4 seqs can no longer be healed by retransmission.
-  FaultInjectingTransport* lossy = nullptr;
+  //
+  // r2 is deafened where its datagrams are delivered: the sequencer drops
+  // what it sends to r2's member endpoint while `deaf` is set. A partition
+  // on r2's own receive side would act only when r2's member loop reads,
+  // so a loop that fell behind would drain the "lost" ops after the heal
+  // and no gap would form.
+  FaultInjectingTransport* seq = nullptr;
+  std::atomic<bool> deaf{false};
+  const Addr r2_member = Addr::mem("ctrl-p0-r2", 2);
   DiscoveryCluster::Config cfg;
   cfg.partitions = 1;
   cfg.replicas = 3;
@@ -641,14 +735,18 @@ TEST(ControlRecoveryTest, EvictedGapTriggersCatchupNotSkip) {
   cfg.replica.stats = stats;
   cfg.tuning.sequencer_resend_log = 4;
   cfg.decorate = [&](TransportPtr t, const std::string& role) -> TransportPtr {
-    if (role != "ctrl-p0-r2-member") return t;
+    if (role != "ctrl-p0-seq") return t;
     auto* ft = new FaultInjectingTransport(std::move(t),
                                            FaultInjectingTransport::Options{});
-    lossy = ft;
+    ft->set_send_filter([&deaf, r2_member](const Addr& dst, BytesView) {
+      return deaf.load() && dst == r2_member;
+    });
+    seq = ft;
     return TransportPtr(ft);
   };
   auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
-  ASSERT_NE(lossy, nullptr);
+  ASSERT_NE(seq, nullptr);
+  ASSERT_EQ(cluster->replica(0, 2)->member_addr(), r2_member);
 
   RemoteDiscovery::Options rpc;
   rpc.rpc_timeout = ms(100);
@@ -659,12 +757,13 @@ TEST(ControlRecoveryTest, EvictedGapTriggersCatchupNotSkip) {
   // Deafen r2, push far more ops than the resend log holds, then heal:
   // r2's fetch for the lost prefix comes back as a miss and must be
   // answered by a peer snapshot — never by a bounded skip.
-  lossy->partition(/*tx=*/false, /*rx=*/true);
+  deaf.store(true);
   for (int i = 0; i < 24; i++)
     ASSERT_TRUE(
         client->register_impl(info_of("offload", "o" + std::to_string(i)))
             .ok());
-  lossy->partition(false, false);
+  deaf.store(false);
+  EXPECT_GE(seq->counters().tx_dropped, 20u) << "r2 was never deafened";
   // One more sequenced op exposes the gap to r2.
   ASSERT_TRUE(client->register_impl(info_of("offload", "tail/x")).ok());
 
@@ -673,8 +772,11 @@ TEST(ControlRecoveryTest, EvictedGapTriggersCatchupNotSkip) {
     auto [e2, s2] = cluster->replica(0, 2)->state()->catalogue_snapshot();
     return s2 == s0 && e2.size() == e0.size() && e0.size() == 26;
   };
+  // A catch-up installs the peer's state before it counts itself, so
+  // wait for the count too.
+  auto caught_up = [&] { return cluster->replica(0, 2)->catchups() >= 1; };
   Deadline dl = Deadline::after(seconds(10));
-  while (!converged() && !dl.expired()) sleep_for(ms(10));
+  while (!(converged() && caught_up()) && !dl.expired()) sleep_for(ms(10));
   EXPECT_TRUE(converged()) << "deafened replica never caught up";
   EXPECT_GE(cluster->replica(0, 2)->gap_misses(), 1u);
   EXPECT_GE(cluster->replica(0, 2)->catchups(), 1u);

@@ -15,6 +15,7 @@
 namespace bertha {
 namespace {
 
+using testing_support::process_threads;
 using testing_support::TestWorld;
 
 // --- ExponentialBackoff ---
@@ -156,6 +157,26 @@ TEST(FaultTransportTest, DelayedDatagramsStillArrive) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(str_of(r.value().payload), "slow");
   EXPECT_EQ(a.counters().tx_delayed, 1u);
+}
+
+// Each delayed datagram is one process_wheel() entry: the decorator
+// starts no timer thread of its own.
+TEST(FaultTransportTest, DelayedSendsAddNoThreads) {
+  (void)process_wheel();  // the one shared tick thread, started up front
+  int before = process_threads();
+  auto net = MemNetwork::create();
+  FaultInjectingTransport::Options fo;
+  fo.delay = 1.0;
+  fo.delay_min = ms(1);
+  fo.delay_max = ms(10);
+  FaultInjectingTransport a(net->bind(Addr::mem("a", 1)).value(), fo);
+  auto b = net->bind(Addr::mem("b", 1)).value();
+  for (int i = 0; i < 8; i++)
+    ASSERT_TRUE(a.send_to(b->local_addr(), payload_of("d")).ok());
+  EXPECT_EQ(process_threads(), before);
+  for (int i = 0; i < 8; i++)
+    ASSERT_TRUE(b->recv(Deadline::after(seconds(2))).ok()) << "datagram " << i;
+  EXPECT_EQ(a.counters().tx_delayed, 8u);
 }
 
 TEST(FaultTransportTest, RecvFilterDropsSelectedPackets) {
@@ -395,6 +416,28 @@ TEST(LeaseTest, HeartbeatKeepsTheLeaseAlive) {
   EXPECT_EQ(state->heartbeat("nobody").error().code, Errc::not_found);
 }
 
+// Lease expiry is one process_wheel() entry re-armed at the earliest
+// expiry, not a sweeper thread per state.
+TEST(LeaseTest, LeasedStateAddsNoThreads) {
+  (void)process_wheel();
+  int before = process_threads();
+  auto state = std::make_shared<DiscoveryState>();
+  for (int i = 0; i < 4; i++) {
+    std::string owner = "client-" + std::to_string(i);
+    ASSERT_TRUE(state
+                    ->register_impl_leased(
+                        impl_of("offload", "offload/" + owner), owner,
+                        ms(40 + 20 * i))
+                    .ok());
+  }
+  EXPECT_EQ(process_threads(), before);
+  // The later leases are still reaped after the earliest fires.
+  Deadline dl = Deadline::after(seconds(2));
+  while (state->lease_count() > 0 && !dl.expired()) sleep_for(ms(5));
+  EXPECT_EQ(state->lease_count(), 0u);
+  EXPECT_TRUE(state->query("offload").value().empty());
+}
+
 // Kill-the-client: a RemoteDiscovery with a lease registers state and
 // then dies. The service must reclaim within ~2 lease periods, emitting
 // the watch events live connections renegotiate on.
@@ -488,6 +531,23 @@ TEST(CachingDiscoveryTest, ServesCachedCatalogueWhileUnreachable) {
   EXPECT_EQ(ev.value().name, kDiscoveryRecoveredEvent);
   EXPECT_FALSE(cache.degraded());
   EXPECT_GE(stats->degraded_exits.load(), 1u);
+}
+
+// Inner watch streams are relayed by their producer: 16 watches add no
+// forwarder threads, and every one of them still sees the inner events.
+TEST(CachingDiscoveryTest, WatchesRelayInlineWithoutThreads) {
+  auto state = std::make_shared<DiscoveryState>();
+  CachingDiscovery cache(state);
+  int before = process_threads();
+  std::vector<WatcherPtr> ws;
+  for (int i = 0; i < 16; i++) ws.push_back(cache.watch("offload").value());
+  EXPECT_EQ(process_threads(), before);
+  ASSERT_TRUE(state->register_impl(impl_of("offload", "offload/hw")).ok());
+  for (auto& w : ws) {
+    auto ev = w->next(Deadline::after(seconds(1)));
+    ASSERT_TRUE(ev.ok());
+    EXPECT_EQ(ev.value().name, "offload/hw");
+  }
 }
 
 // --- runtime wiring ---

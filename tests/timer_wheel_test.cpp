@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "io/timer_wheel.hpp"
+#include "test_helpers.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -268,6 +271,30 @@ TEST(TimerWheelTest, StopPreventsFurtherFires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(fired.load(), 0);
   EXPECT_TRUE(w->cancel(id)) << "cancel must still work after stop";
+}
+
+// A wheel callback that drops the last outside reference to a runtime
+// tears the runtime down on the wheel's own tick thread: ~Runtime stops
+// the reactor, and the reactor stops this very wheel. That must neither
+// join the tick thread from itself (EDEADLK, an abort from a noexcept
+// destructor) nor leave the tick loop running on a freed wheel.
+TEST(TimerWheelTest, RuntimeDroppedInsideOwnWheelCallback) {
+  auto world = testing_support::TestWorld::make();
+  for (int i = 0; i < 20; i++) {
+    auto rt = world.runtime("wheel-drop-" + std::to_string(i));
+    TimerWheelPtr wheel = rt->timer_wheel();
+    ASSERT_TRUE(wheel);
+    auto last = std::make_shared<std::shared_ptr<Runtime>>(std::move(rt));
+    std::promise<void> dropped;
+    auto done = dropped.get_future();
+    wheel->schedule(ms(1), [last, &dropped] {
+      last->reset();  // ~Runtime runs here, on the tick thread
+      dropped.set_value();
+    });
+    last.reset();
+    ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  }
 }
 
 TEST(TimerWheelTest, MetricsProviderExportsCounters) {

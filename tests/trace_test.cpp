@@ -314,6 +314,10 @@ TEST(MetricsTest, CountersGaugesHistogramsAndProviders) {
   const auto& h = snap.histograms.at("latency");
   EXPECT_EQ(h.count, 100u);
   EXPECT_GT(h.p95, h.p50);
+  // The tail the gates are written on (log buckets: ~2% error).
+  EXPECT_NEAR(h.p99, 99, 3);
+  EXPECT_GE(h.p999, h.p99);
+  EXPECT_LE(h.p999, 100);
 
   // Re-attach under the same name replaces, not duplicates.
   m.attach_provider("ext", [](MetricsRegistry::Snapshot& s) {
@@ -324,6 +328,8 @@ TEST(MetricsTest, CountersGaugesHistogramsAndProviders) {
   auto text = m.to_string();
   EXPECT_NE(text.find("requests"), std::string::npos);
   EXPECT_NE(text.find("latency"), std::string::npos);
+  EXPECT_NE(text.find(" p99="), std::string::npos);
+  EXPECT_NE(text.find(" p999="), std::string::npos);
 }
 
 TEST(MetricsTest, RuntimeRegistryAggregatesLegacyCounters) {

@@ -209,7 +209,7 @@ TEST(StatsTest, LogHistogramPercentileAccuracy) {
     h.add(v);
     exact.add(v);
   }
-  for (double q : {50.0, 90.0, 99.0}) {
+  for (double q : {50.0, 90.0, 99.0, 99.9}) {
     double approx = h.percentile(q);
     double truth = exact.percentile(q);
     EXPECT_NEAR(approx / truth, 1.0, 0.05) << "q=" << q;
