@@ -3,7 +3,10 @@
 // an in-memory network).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/discovery.hpp"
 #include "net/memchan.hpp"
@@ -346,6 +349,44 @@ TEST(DiscoveryWatchTest, SlowConsumerDropsAreCounted) {
   int got = 0;
   while (w->try_next()) got++;
   EXPECT_EQ(got + static_cast<int>(w->dropped()), 300);
+}
+
+TEST(DiscoveryWatchTest, SinkSetDuringDeliveryLosesNothing) {
+  // A relay sets its sink while producers are already delivering on
+  // other threads: every batch reaches the sink, each producer's in
+  // order, whether it was queued before the sink was set or delivered
+  // after. Several producers, so the sink can land while one is between
+  // its sink check and its queue push.
+  constexpr int kProducers = 8;
+  constexpr uint64_t kBatches = 1000;
+  for (int round = 0; round < 50; round++) {
+    DiscoveryWatcher w("", kProducers * kBatches);  // room for all
+    std::atomic<uint64_t> delivered{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; p++) {
+      producers.emplace_back([&, p] {
+        for (uint64_t seq = 1; seq <= kBatches; seq++) {
+          WatchEvent ev;
+          ev.name = std::to_string(p);
+          ev.seq = seq;
+          w.deliver_batch({ev});
+          delivered.fetch_add(1);
+        }
+      });
+    }
+    while (delivered.load() < kBatches) std::this_thread::yield();
+    // Sink calls are serialised, so `seen` needs no lock.
+    std::vector<std::vector<uint64_t>> seen(kProducers);
+    w.set_sink([&](std::vector<WatchEvent> evs) {
+      for (auto& ev : evs) seen[std::stoi(ev.name)].push_back(ev.seq);
+    });
+    for (auto& t : producers) t.join();
+    for (int p = 0; p < kProducers; p++) {
+      ASSERT_EQ(seen[p].size(), kBatches) << "round " << round;
+      for (uint64_t i = 0; i < kBatches; i++)
+        ASSERT_EQ(seen[p][i], i + 1) << "round " << round;
+    }
+  }
 }
 
 TEST_F(RemoteDiscoveryTest, WatchWithoutFilterUsesServerPush) {

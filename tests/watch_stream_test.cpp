@@ -9,6 +9,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/discovery.hpp"
@@ -141,6 +142,67 @@ TEST_F(WatchStreamTest, IdleWatchIssuesNoRpcs) {
   ASSERT_TRUE(state_->register_impl(watch_info("enc", "enc/a")).ok());
   ASSERT_TRUE(w->next(Deadline::after(seconds(5))).ok());
   EXPECT_EQ(server_->requests_served(), before);
+}
+
+// Keepalives fill push silence only: while the server pushes more often
+// than its keepalive period it sends none, and once it goes quiet they
+// resume. Timed at the server's sends, so load cannot skew it.
+TEST_F(WatchStreamTest, KeepalivesFillPushSilenceOnly) {
+  struct Log {
+    std::mutex mu;
+    TimePoint last_push{};
+    int pushes = 0;
+    int keepalives = 0;
+    int early_keepalives = 0;  // sent < keepalive after the last push
+  };
+  auto log = std::make_shared<Log>();
+  const Duration keepalive = ms(50);
+  net_ = MemNetwork::create();
+  state_ = std::make_shared<DiscoveryState>();
+  auto srv = std::make_unique<FaultInjectingTransport>(
+      net_->bind(Addr::mem("disc", 1)).value(),
+      FaultInjectingTransport::Options{});
+  srv->set_send_filter([log, keepalive](const Addr&, BytesView p) {
+    if (!is_event_batch(p)) return false;
+    auto batch = decode_event_batch(decode_frame(p).value().payload).value();
+    std::lock_guard<std::mutex> lk(log->mu);
+    if (batch.prev_seq != batch.last_seq) {
+      log->pushes++;
+      log->last_push = now();
+    } else if (log->pushes > 0) {  // not the subscribe ack
+      log->keepalives++;
+      if (now() - log->last_push < keepalive) log->early_keepalives++;
+    }
+    return false;
+  });
+  DiscoveryServer::Options so;
+  so.coalesce_window = ms(1);
+  so.keepalive = keepalive;
+  server_ = std::make_unique<DiscoveryServer>(std::move(srv), state_, so);
+  start_client({}, {});
+  auto w = client_->watch("enc").value();
+
+  // Busy: a registration every 5 ms for 400 ms.
+  for (int i = 0; i < 80; i++) {
+    ASSERT_TRUE(
+        state_->register_impl(watch_info("enc", "enc/" + std::to_string(i)))
+            .ok());
+    sleep_for(ms(5));
+  }
+  // Quiet: keepalives come back.
+  Deadline dl = Deadline::after(seconds(5));
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lk(log->mu);
+      if (log->keepalives > 0) break;
+    }
+    ASSERT_FALSE(dl.expired()) << "an idle server sent no keepalive";
+    sleep_for(ms(5));
+  }
+  std::lock_guard<std::mutex> lk(log->mu);
+  EXPECT_GE(log->pushes, 10);
+  EXPECT_EQ(log->early_keepalives, 0)
+      << "keepalives went out while the server was pushing";
 }
 
 // Pushed batches silently lost (partition-like): the next keepalive
