@@ -1,5 +1,7 @@
 #include "control/cluster.hpp"
 
+#include <map>
+
 #include "util/log.hpp"
 
 namespace bertha {
@@ -80,6 +82,34 @@ Result<std::vector<ImplInfo>> ClusterDiscovery::query(const std::string& type) {
   auto c = client_for(map_.index_for_type(type));
   if (!c) return err(Errc::unavailable, "partition client re-steering");
   return c->query(type);
+}
+
+DiscoveryClient::QueryOutcomes ClusterDiscovery::query_many(
+    const std::vector<std::string>& types) {
+  struct Leg {
+    std::vector<size_t> idx;  // positions in `types`
+    std::shared_ptr<RemoteDiscovery> client;
+    std::shared_ptr<RemoteDiscovery::QueryCall> call;
+  };
+  std::map<size_t, Leg> legs;  // by partition
+  for (size_t i = 0; i < types.size(); i++)
+    legs[map_.index_for_type(types[i])].idx.push_back(i);
+  for (auto& [p, leg] : legs) {
+    leg.client = client_for(p);
+    if (!leg.client) continue;
+    std::vector<std::string> mine;
+    for (size_t i : leg.idx) mine.push_back(types[i]);
+    leg.call = leg.client->send_query_many(std::move(mine));
+  }
+  QueryOutcomes out(types.size(), err(Errc::unavailable,
+                                      "partition client re-steering"));
+  for (auto& [p, leg] : legs) {
+    if (!leg.call) continue;
+    auto got = leg.client->await_query_many(*leg.call);
+    for (size_t k = 0; k < leg.idx.size(); k++)
+      out[leg.idx[k]] = std::move(got[k]);
+  }
+  return out;
 }
 
 Result<uint64_t> ClusterDiscovery::acquire(

@@ -56,6 +56,10 @@ class ClusterDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // Scatter-gather: one frame per partition owning a listed type, all in
+  // flight before any is awaited, so the read costs one round trip.
+  // Retry and replica rotation stay per partition.
+  QueryOutcomes query_many(const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;

@@ -1,8 +1,6 @@
 #include "core/discovery.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <random>
 
 #include "chunnels/shard.hpp"
 #include "core/wire.hpp"
@@ -1223,6 +1221,26 @@ void DiscoveryServer::serve_loop() {
     auto req_r = decode_request(frame_r.value().payload);
     if (!req_r.ok()) {
       rsp = error_response(req_r.error());
+    } else if (!req_r.value().types.empty()) {
+      // A batched catalogue read: every type takes the single-query path
+      // (interceptor, then the local state), so a fenced or forwarded
+      // range answers for its own types only.
+      const DiscRequest& req = req_r.value();
+      Span serve_span = trace_span(opts_.tracer, serve_span_name(req.op),
+                                   req.trace);
+      serve_span.tag_u64("types", req.types.size());
+      rsp.success = true;
+      for (const auto& type : req.types) {
+        DiscRequest part;
+        part.op = DiscOp::query;
+        part.type = type;
+        part.client_id = req.client_id;
+        part.trace = req.trace;
+        std::optional<DiscResponse> icpt;
+        if (opts_.request_interceptor) icpt = opts_.request_interceptor(part);
+        rsp.parts.push_back(icpt ? std::move(*icpt)
+                                 : execute_request(*state_, part, now()));
+      }
     } else {
       const DiscRequest& req = req_r.value();
       // A fencing/forwarding interceptor (reshard) owns the request
@@ -1331,15 +1349,6 @@ struct RemoteDiscovery::Sub {
 
 namespace {
 
-std::string random_client_id() {
-  std::random_device rd;
-  uint64_t v = (static_cast<uint64_t>(rd()) << 32) ^ rd();
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "c%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 uint64_t lease_ttl_ms(const RemoteDiscovery::Options& opts) {
   if (opts.lease_ttl <= Duration::zero()) return 0;
   auto v = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -1355,7 +1364,7 @@ RemoteDiscovery::RemoteDiscovery(TransportPtr transport,
     : transport_(std::move(transport)),
       servers_(std::move(servers)),
       opts_(opts),
-      client_id_(random_client_id()) {
+      client_id_("c" + make_unique_id()) {
   // Per-client jitter seed: a fleet of clients whose RPCs time out
   // together (a replica just died) must not retry in lockstep.
   backoff_seed_ = opts_.backoff_seed != 0
@@ -1710,18 +1719,78 @@ void RemoteDiscovery::handle_event_batch(uint64_t token, BytesView payload) {
   if (!filtered.empty()) sub->watcher->deliver_batch(std::move(filtered));
 }
 
+// An RPC between its send and its await step.
+struct RemoteDiscovery::Call {
+  uint64_t req_id = 0;
+  Bytes frame;
+  std::shared_ptr<Pending> p;  // null: the client was closed
+  Span* span = nullptr;
+  Span att;             // the current attempt's span
+  int attempt = 0;
+  size_t observed = 0;  // server index the current attempt went to
+  TimePoint attempt_deadline;
+  Result<void> sent = ok();  // a failed send ends the call
+};
+
+namespace {
+
+Error response_error(const DiscResponse& rsp) {
+  Errc code = rsp.errc <= static_cast<uint8_t>(Errc::internal)
+                  ? static_cast<Errc>(rsp.errc)
+                  : Errc::internal;
+  return err(code, rsp.error);
+}
+
+bool answered_unavailable(const DiscResponse& rsp) {
+  return !rsp.success &&
+         rsp.errc == static_cast<uint8_t>(Errc::unavailable);
+}
+
+}  // namespace
+
 Result<RemoteDiscovery::Rsp> RemoteDiscovery::rpc(const Bytes& request_body,
                                                   Span* span) {
-  uint64_t req_id = next_req_.fetch_add(1);
-  Bytes frame = encode_frame(MsgKind::discovery, req_id, request_body);
-  auto p = std::make_shared<Pending>();
+  Call call;
+  start_rpc(call, request_body, span);
+  return await_rpc(call);
+}
+
+void RemoteDiscovery::start_rpc(Call& call, const Bytes& request_body,
+                                Span* span) {
+  call.req_id = next_req_.fetch_add(1);
+  call.frame = encode_frame(MsgKind::discovery, call.req_id, request_body);
+  call.span = span;
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
-    if (reader_dead_) return err(Errc::cancelled, "discovery client closed");
+    if (reader_dead_) return;
     ensure_reader_locked();
-    pending_[req_id] = p;
+    call.p = std::make_shared<Pending>();
+    pending_[call.req_id] = call.p;
   }
+  send_attempt(call);
+}
 
+void RemoteDiscovery::send_attempt(Call& call) {
+  if (call.attempt > 0 && opts_.stats) opts_.stats->rpc_retries++;
+  // One child span per resend: retries of a logical RPC share its
+  // trace id, which is what the fault-propagation tests assert.
+  call.att = call.span ? trace_span(opts_.tracer, "rpc.attempt",
+                                    call.span->context())
+                       : Span{};
+  call.att.tag_u64("attempt", static_cast<uint64_t>(call.attempt));
+  Addr target;
+  {
+    std::lock_guard<std::mutex> lk(srv_mu_);
+    call.observed = active_;
+    target = servers_[active_];
+  }
+  call.att.tag("server", target.to_string());
+  call.attempt_deadline = now() + opts_.rpc_timeout;
+  call.sent = transport_->send_to(target, call.frame);
+}
+
+Result<RemoteDiscovery::Rsp> RemoteDiscovery::await_rpc(Call& call) {
+  if (!call.p) return err(Errc::cancelled, "discovery client closed");
   // The retry backoff is per-*client*, not per-call: escalation from one
   // outage carries into the next RPC, and the first success resets it —
   // a recovered server is charged nothing for its history.
@@ -1733,66 +1802,59 @@ Result<RemoteDiscovery::Rsp> RemoteDiscovery::rpc(const Bytes& request_body,
       err(Errc::unavailable, "discovery service unreachable at " +
                                  active_server().to_string());
   bool exhausted = true;
-  int attempts_used = 0;
-  for (int attempt = 0; attempt <= opts_.retries; attempt++) {
-    if (attempt > 0 && opts_.stats) opts_.stats->rpc_retries++;
-    attempts_used = attempt + 1;
-    // One child span per resend: retries of a logical RPC share its
-    // trace id, which is what the fault-propagation tests assert.
-    Span att = span ? trace_span(opts_.tracer, "rpc.attempt", span->context())
-                    : Span{};
-    att.tag_u64("attempt", static_cast<uint64_t>(attempt));
-    size_t observed;
-    Addr target;
-    {
-      std::lock_guard<std::mutex> lk(srv_mu_);
-      observed = active_;
-      target = servers_[active_];
-    }
-    att.tag("server", target.to_string());
-    auto sent = transport_->send_to(target, frame);
-    if (!sent.ok()) {
-      outcome = sent.error();
+  for (;;) {
+    if (!call.sent.ok()) {
+      outcome = call.sent.error();
       exhausted = false;
       break;
     }
+    std::shared_ptr<Pending> p = call.p;
     std::unique_lock<std::mutex> lk(p->mu);
-    if (p->cv.wait_for(lk, opts_.rpc_timeout, [&] { return p->done; })) {
+    if (p->cv.wait_until(lk, call.attempt_deadline, [&] { return p->done; })) {
       outcome = std::move(p->result);
       exhausted = false;
       // An `unavailable` *response* is the server saying "try again
       // shortly" — a fenced key range mid-reshard, a sequencer timeout.
       // The server is alive (it answered), so retry in place without
-      // rotating; idempotency keys make the resend exactly-once.
-      bool retry_rsp = outcome.ok() && !outcome.value().success &&
-                       outcome.value().errc ==
-                           static_cast<uint8_t>(Errc::unavailable) &&
-                       attempt < opts_.retries;
+      // rotating; idempotency keys make the resend exactly-once. A
+      // batched query retries while any of its types answered so.
+      bool retry_rsp =
+          outcome.ok() && call.attempt < opts_.retries &&
+          (answered_unavailable(outcome.value()) ||
+           std::any_of(outcome.value().parts.begin(),
+                       outcome.value().parts.end(), answered_unavailable));
       if (!retry_rsp) break;
       lk.unlock();
-      att.tag("unavailable", "1");
+      call.att.tag("unavailable", "1");
       auto fresh = std::make_shared<Pending>();
       {
         std::lock_guard<std::mutex> plk(pending_mu_);
         if (reader_dead_) break;
-        pending_[req_id] = fresh;
+        pending_[call.req_id] = fresh;
       }
-      p = std::move(fresh);
+      call.p = std::move(fresh);
       sleep_for(backoff_delay());
-      continue;
+    } else {
+      lk.unlock();
+      call.att.tag("timeout", "1");
+      // The active server let an RPC time out: assume it died and try
+      // the next replica on the following attempt (no-op with one
+      // server).
+      rotate_server(call.observed);
+      if (call.attempt >= opts_.retries) break;
+      sleep_for(backoff_delay());
     }
-    lk.unlock();
-    att.tag("timeout", "1");
-    // The active server let an RPC time out: assume it died and try the
-    // next replica on the following attempt (no-op with one server).
-    rotate_server(observed);
-    if (attempt < opts_.retries) sleep_for(backoff_delay());
+    call.attempt++;
+    send_attempt(call);
   }
+  call.att = Span{};
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
-    pending_.erase(req_id);
+    pending_.erase(call.req_id);
   }
 
+  Span* span = call.span;
+  int attempts_used = call.attempt + 1;
   if (span && span->active()) {
     span->tag_u64("attempts", static_cast<uint64_t>(attempts_used));
     if (attempts_used > 1) span->tag("retried", "1");
@@ -1801,15 +1863,10 @@ Result<RemoteDiscovery::Rsp> RemoteDiscovery::rpc(const Bytes& request_body,
   if (exhausted && opts_.stats) opts_.stats->rpc_failures++;
   if (!outcome.ok()) return outcome.error();
   DiscResponse raw = std::move(outcome).value();
-  if (raw.success) {
+  if (!raw.success) return response_error(raw);
+  {
     std::lock_guard<std::mutex> blk(bo_mu_);
     retry_backoff_->reset();
-  }
-  if (!raw.success) {
-    Errc code = raw.errc <= static_cast<uint8_t>(Errc::internal)
-                    ? static_cast<Errc>(raw.errc)
-                    : Errc::internal;
-    return err(code, raw.error);
   }
   Rsp rsp;
   static_cast<DiscResponse&>(rsp) = std::move(raw);
@@ -1996,6 +2053,53 @@ Result<std::vector<ImplInfo>> RemoteDiscovery::query(const std::string& type) {
   req.trace = span.context();
   BERTHA_TRY_ASSIGN(rsp, rpc(encode_request(req), &span));
   return std::move(rsp.entries);
+}
+
+// A batched query between send_query_many() and await_query_many(). The
+// call points at `span`, so a QueryCall never moves.
+struct RemoteDiscovery::QueryCall {
+  size_t types = 0;
+  Span span;
+  Call call;
+};
+
+std::shared_ptr<RemoteDiscovery::QueryCall> RemoteDiscovery::send_query_many(
+    std::vector<std::string> types) {
+  auto qc = std::make_shared<QueryCall>();
+  qc->types = types.size();
+  DiscRequest req;
+  req.op = DiscOp::query;
+  req.types = std::move(types);
+  qc->span = trace_span(opts_.tracer, "rpc.query", current_trace_context());
+  qc->span.tag_u64("types", qc->types);
+  req.trace = qc->span.context();
+  start_rpc(qc->call, encode_request(req), &qc->span);
+  return qc;
+}
+
+DiscoveryClient::QueryOutcomes RemoteDiscovery::await_query_many(
+    QueryCall& qc) {
+  auto rsp = await_rpc(qc.call);
+  qc.span.finish();
+  if (rsp.ok() && rsp.value().parts.size() != qc.types)
+    rsp = err(Errc::protocol_error, "batched query answered " +
+                                        std::to_string(rsp.value().parts.size()) +
+                                        " of " + std::to_string(qc.types) +
+                                        " types");
+  if (!rsp.ok()) return QueryOutcomes(qc.types, rsp.error());
+  QueryOutcomes out;
+  out.reserve(qc.types);
+  for (auto& part : rsp.value().parts) {
+    if (part.success) out.push_back(std::move(part.entries));
+    else out.push_back(response_error(part));
+  }
+  return out;
+}
+
+DiscoveryClient::QueryOutcomes RemoteDiscovery::query_many(
+    const std::vector<std::string>& types) {
+  if (types.empty()) return {};
+  return await_query_many(*send_query_many(types));
 }
 
 Result<uint64_t> RemoteDiscovery::acquire(const std::vector<ResourceReq>& reqs) {

@@ -244,6 +244,18 @@ class DiscoveryClient {
   // All implementations known for a chunnel type.
   virtual Result<std::vector<ImplInfo>> query(const std::string& type) = 0;
 
+  // query() for every entry of `types` as one catalogue read: one
+  // outcome per type, in order. The remote clients send one frame per
+  // partition that owns a listed type, and a failed partition fails
+  // only its own types. The default asks query() once per type.
+  using QueryOutcomes = std::vector<Result<std::vector<ImplInfo>>>;
+  virtual QueryOutcomes query_many(const std::vector<std::string>& types) {
+    QueryOutcomes out;
+    out.reserve(types.size());
+    for (const auto& t : types) out.push_back(query(t));
+    return out;
+  }
+
   // Multi-resource admission (§6): atomically reserve every requirement
   // or fail with resource_exhausted. Returns an allocation id.
   virtual Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) = 0;
@@ -684,9 +696,19 @@ class RemoteDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // One frame carrying every type; retried (and failed over) as a whole.
+  QueryOutcomes query_many(const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;
+  // query_many() in two steps, so a caller can put several partitions'
+  // reads in flight before waiting on any (ClusterDiscovery's scatter):
+  // send_query_many() sends the batch and returns at once;
+  // await_query_many() waits for its answer with the usual retry and
+  // failover. Every sent call must be awaited.
+  struct QueryCall;
+  std::shared_ptr<QueryCall> send_query_many(std::vector<std::string> types);
+  QueryOutcomes await_query_many(QueryCall& call);
   // Server push: a subscribe frame opens a stream of event_batch pushes
   // (any filter, including ""), demuxed by the reader thread, with
   // seq-gap detection and resume. A subscribe the server never acks
@@ -720,9 +742,16 @@ class RemoteDiscovery final : public DiscoveryClient {
   struct Rsp;
   struct Pending;
   struct Sub;
+  struct Call;
   // `span`, when non-null, is the logical RPC's span: resend attempts
   // become its children and retry/outcome tags land on it.
   Result<Rsp> rpc(const Bytes& request_body, Span* span = nullptr);
+  // rpc() split at the wire: start_rpc() registers the request and sends
+  // the first attempt; await_rpc() waits for it, resending, rotating and
+  // backing off as rpc() does.
+  void start_rpc(Call& call, const Bytes& request_body, Span* span);
+  Result<Rsp> await_rpc(Call& call);
+  void send_attempt(Call& call);
   void reader_loop();
   void ensure_reader_locked();
   void ensure_heartbeat();

@@ -127,31 +127,46 @@ void CachingDiscovery::probe_loop() {
   }
 }
 
-Result<std::vector<ImplInfo>> CachingDiscovery::query(
-    const std::string& type) {
-  auto r = inner_->query(type);
+Result<std::vector<ImplInfo>> CachingDiscovery::settle_locked(
+    const std::string& type, Result<std::vector<ImplInfo>> r) {
   if (r.ok()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      catalogue_[type] = r.value();
-    }
-    note(true);
+    catalogue_[type] = r.value();
     return r;
   }
-  if (!transient(r.error())) {
-    note(true);  // the service answered, just unhappily
-    return r;
-  }
-  note(false);
-  std::lock_guard<std::mutex> lk(mu_);
+  if (!transient(r.error())) return r;  // the service answered, unhappily
   auto it = catalogue_.find(type);
   if (it != catalogue_.end()) {
     if (stats_) stats_->catalogue_hits++;
     return it->second;
   }
-  // Cold cache: report an empty deployment so negotiation falls back to
-  // locally registered software impls instead of failing establishment.
   return std::vector<ImplInfo>{};
+}
+
+Result<std::vector<ImplInfo>> CachingDiscovery::query(
+    const std::string& type) {
+  auto r = inner_->query(type);
+  bool healthy = r.ok() || !transient(r.error());
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    r = settle_locked(type, std::move(r));
+  }
+  note(healthy);
+  return r;
+}
+
+DiscoveryClient::QueryOutcomes CachingDiscovery::query_many(
+    const std::vector<std::string>& types) {
+  auto rs = inner_->query_many(types);
+  bool healthy = true;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (size_t i = 0; i < rs.size() && i < types.size(); i++) {
+      if (!rs[i].ok() && transient(rs[i].error())) healthy = false;
+      rs[i] = settle_locked(types[i], std::move(rs[i]));
+    }
+  }
+  note(healthy);
+  return rs;
 }
 
 Result<void> CachingDiscovery::register_impl(const ImplInfo& info) {

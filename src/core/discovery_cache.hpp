@@ -65,6 +65,9 @@ class CachingDiscovery final : public DiscoveryClient {
   Result<void> unregister_impl(const std::string& type,
                                const std::string& name) override;
   Result<std::vector<ImplInfo>> query(const std::string& type) override;
+  // One inner batch; each type is cached and served as query() would,
+  // and the batch moves the degraded state once.
+  QueryOutcomes query_many(const std::vector<std::string>& types) override;
   Result<uint64_t> acquire(const std::vector<ResourceReq>& reqs) override;
   Result<void> release(uint64_t alloc_id) override;
   Result<void> set_pool(const std::string& pool, uint64_t capacity) override;
@@ -92,6 +95,11 @@ class CachingDiscovery final : public DiscoveryClient {
   // delivers the recovery event on a degraded -> healthy edge. Call with
   // mu_ NOT held.
   void note(bool healthy);
+  // Folds one inner query outcome into the cache: an answer refills the
+  // type's entry; a transient failure is served from it, or, cold, as an
+  // empty deployment so negotiation binds the local fallbacks. mu_ held.
+  Result<std::vector<ImplInfo>> settle_locked(
+      const std::string& type, Result<std::vector<ImplInfo>> r);
   void probe_loop();
   // Folds a forwarded event batch into the cached catalogue so a
   // degraded -> recovered client is caught up by the stream's seq-resume

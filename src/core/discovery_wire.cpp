@@ -16,6 +16,7 @@ Bytes encode_request(const DiscRequest& req) {
   w.put_string(req.client_id);
   w.put_varint(req.idem_key);
   w.put_varint(req.ttl_ms);
+  serde_put(w, req.types);
   put_trace_context(w, req.trace);
   return std::move(w).take();
 }
@@ -35,6 +36,9 @@ Result<DiscRequest> decode_request(BytesView b) {
   BERTHA_TRY_ASSIGN(client, r.get_string());
   BERTHA_TRY_ASSIGN(idem, r.get_varint());
   BERTHA_TRY_ASSIGN(ttl, r.get_varint());
+  BERTHA_TRY_ASSIGN(types, serde_get<std::vector<std::string>>(r));
+  if (!types.empty() && req.op != DiscOp::query)
+    return err(Errc::protocol_error, "type list on a non-query op");
   req.type = std::move(type);
   req.name = std::move(name);
   req.entry = std::move(entry);
@@ -44,34 +48,56 @@ Result<DiscRequest> decode_request(BytesView b) {
   req.client_id = std::move(client);
   req.idem_key = idem;
   req.ttl_ms = ttl;
+  req.types = std::move(types);
   req.trace = read_trace_context_tail(r);
   return req;
 }
 
-Bytes encode_response(const DiscResponse& rsp) {
-  Writer w;
+namespace {
+
+void put_response(Writer& w, const DiscResponse& rsp) {
   w.put_bool(rsp.success);
   w.put_u8(rsp.errc);
   w.put_string(rsp.error);
   serde_put(w, rsp.entries);
   w.put_varint(rsp.alloc_id);
-  return std::move(w).take();
+  w.put_varint(rsp.parts.size());
+  for (const auto& part : rsp.parts) put_response(w, part);
 }
 
-Result<DiscResponse> decode_response(BytesView b) {
-  Reader r(b);
+Result<DiscResponse> get_response(Reader& r, bool is_part) {
   DiscResponse rsp;
   BERTHA_TRY_ASSIGN(okb, r.get_bool());
   BERTHA_TRY_ASSIGN(ec, r.get_u8());
   BERTHA_TRY_ASSIGN(error, r.get_string());
   BERTHA_TRY_ASSIGN(entries, serde_get<std::vector<ImplInfo>>(r));
   BERTHA_TRY_ASSIGN(alloc, r.get_varint());
+  BERTHA_TRY_ASSIGN(nparts, r.get_varint());
+  if (is_part && nparts != 0)
+    return err(Errc::protocol_error, "nested discovery response parts");
+  for (uint64_t i = 0; i < nparts; i++) {
+    BERTHA_TRY_ASSIGN(part, get_response(r, /*is_part=*/true));
+    rsp.parts.push_back(std::move(part));
+  }
   rsp.success = okb;
   rsp.errc = ec;
   rsp.error = std::move(error);
   rsp.entries = std::move(entries);
   rsp.alloc_id = alloc;
   return rsp;
+}
+
+}  // namespace
+
+Bytes encode_response(const DiscResponse& rsp) {
+  Writer w;
+  put_response(w, rsp);
+  return std::move(w).take();
+}
+
+Result<DiscResponse> decode_response(BytesView b) {
+  Reader r(b);
+  return get_response(r, /*is_part=*/false);
 }
 
 DiscResponse error_response(const Error& e) {

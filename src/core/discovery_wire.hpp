@@ -31,6 +31,10 @@ enum class DiscOp : uint8_t {
 struct DiscRequest {
   DiscOp op;
   std::string type;
+  // query only: a batched catalogue read. Non-empty: the server answers
+  // every listed type in one response (DiscResponse::parts, in order)
+  // and `type` is unused.
+  std::vector<std::string> types;
   std::string name;
   std::optional<ImplInfo> entry;
   std::vector<ResourceReq> resources;
@@ -49,6 +53,9 @@ struct DiscResponse {
   std::string error;
   std::vector<ImplInfo> entries;
   uint64_t alloc_id = 0;
+  // Batched query: one outcome per requested type, each answered as a
+  // single-type query would be (a part never nests further parts).
+  std::vector<DiscResponse> parts;
 };
 
 Bytes encode_request(const DiscRequest& req);

@@ -106,6 +106,22 @@ class ClientChannelGroup
 
   size_t tokens_live() const { return by_token_.size(); }
 
+  // Folds dead-token sweeping into the timer wheel: a channel that dies
+  // without a clean close leaves an expired weak_ptr in the routing
+  // table; route() self-heals entries it trips over and this periodic
+  // sweep catches tokens no frame ever hits again, so the table stays
+  // bounded under churn. The group's destructor cancels the entry.
+  void arm_sweep(const TimerWheelPtr& wheel) {
+    std::weak_ptr<ClientChannelGroup> wg = weak_from_this();
+    sweep_wheel_ = wheel;
+    sweep_timer_ = wheel->schedule_periodic(seconds(30), [wg] {
+      if (auto g = wg.lock()) g->sweep_dead_tokens();
+    });
+  }
+  ~ClientChannelGroup() {
+    if (auto w = sweep_wheel_.lock()) (void)w->cancel(sweep_timer_);
+  }
+
   void set_transition_handler(TransitionHandler h) {
     std::lock_guard<std::mutex> lk(mu_);
     handler_ = std::move(h);
@@ -125,6 +141,8 @@ class ClientChannelGroup
   ShardedMap<std::weak_ptr<ClientChannel>> by_token_{8};
   TransitionHandler handler_;
   CancelHandler cancel_handler_;
+  std::weak_ptr<TimerWheel> sweep_wheel_;
+  uint64_t sweep_timer_ = 0;
 };
 
 class ClientChannel final : public Connection,
@@ -1719,23 +1737,7 @@ Result<ConnPtr> Endpoint::connect(const std::vector<Addr>& servers,
   auto port = ClientChannelGroup::make_port(transport);
   auto channel = group->add_channel(port, peers);
 
-  // Fold dead-token sweeping into the timer wheel: a channel that dies
-  // without a clean close leaves an expired weak_ptr in the routing
-  // table; route() self-heals entries it trips over and this periodic
-  // sweep catches tokens no frame ever hits again, so the table stays
-  // bounded under churn. Self-cancels once the group is gone.
-  if (auto wheel = rt_->timer_wheel()) {
-    std::weak_ptr<ClientChannelGroup> wg = group;
-    std::weak_ptr<TimerWheel> ww = wheel;
-    auto sweep_id = std::make_shared<uint64_t>(0);
-    *sweep_id = wheel->schedule_periodic(seconds(30), [wg, ww, sweep_id] {
-      if (auto g = wg.lock()) {
-        g->sweep_dead_tokens();
-      } else if (auto w = ww.lock()) {
-        (void)w->cancel(*sweep_id);
-      }
-    });
-  }
+  if (auto wheel = rt_->timer_wheel()) group->arm_sweep(wheel);
 
   auto liveness = std::make_shared<ConnLiveness>();
 

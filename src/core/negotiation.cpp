@@ -177,6 +177,33 @@ std::vector<Candidate> rank_candidates(
 
 namespace {
 
+// The deployment's entries for every spec, in order, from one catalogue
+// read. A type the service could not answer binds from the local and
+// offered implementations only, and marks `degraded`.
+std::vector<std::vector<ImplInfo>> network_entries_for(
+    const std::vector<ChunnelSpec>& specs, DiscoveryClient& discovery,
+    bool& degraded) {
+  if (specs.empty()) return {};
+  std::vector<std::string> types;
+  types.reserve(specs.size());
+  for (const auto& spec : specs) types.push_back(spec.type);
+  auto outcomes = discovery.query_many(types);
+  std::vector<std::vector<ImplInfo>> out(specs.size());
+  for (size_t i = 0; i < specs.size(); i++) {
+    if (i < outcomes.size() && outcomes[i].ok()) {
+      out[i] = std::move(outcomes[i]).value();
+      continue;
+    }
+    BLOG(warn, "negotiate")
+        << "discovery query failed for " << specs[i].type << ": "
+        << (i < outcomes.size() ? outcomes[i].error().to_string()
+                                : std::string("no answer"));
+    degraded = true;
+  }
+  if (discovery.degraded()) degraded = true;
+  return out;
+}
+
 // Binds one chain of specs to implementations. On failure, releases any
 // resources it reserved itself.
 Result<NegotiationResult> select_chain(
@@ -190,26 +217,17 @@ Result<NegotiationResult> select_chain(
     result.alloc_nodes.clear();
   };
 
-  for (const auto& spec : specs) {
+  auto network = network_entries_for(specs, discovery, result.degraded);
+  for (size_t i = 0; i < specs.size(); i++) {
+    const ChunnelSpec& spec = specs[i];
     static const std::vector<ImplInfo> kNone;
     const std::vector<ImplInfo>* client_offered = &kNone;
     if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
       client_offered = &it->second;
 
-    std::vector<ImplInfo> network_entries;
-    auto q = discovery.query(spec.type);
-    if (q.ok()) {
-      network_entries = std::move(q).value();
-    } else {
-      BLOG(warn, "negotiate") << "discovery query failed for " << spec.type
-                              << ": " << q.error().to_string();
-      result.degraded = true;
-    }
-    if (discovery.degraded()) result.degraded = true;
-
     auto candidates =
         rank_candidates(spec, *client_offered, registry.infos_for(spec.type),
-                        network_entries, policy, same_host);
+                        network[i], policy, same_host);
     if (candidates.empty()) {
       release_all();
       return err(Errc::incompatible,
@@ -436,18 +454,13 @@ Result<RenegotiationResult> renegotiate_server(
   // introduces mid-life (a merged offload that only now has a usable
   // implementation). Returns the node and the reservation it made
   // (0 = the chosen implementation needed none).
-  auto select_fresh = [&](const ChunnelSpec& spec)
+  auto select_fresh = [&](const ChunnelSpec& spec,
+                          const std::vector<ImplInfo>& network_entries)
       -> Result<std::pair<NegotiatedNode, uint64_t>> {
     static const std::vector<ImplInfo> kNoOffers;
     const std::vector<ImplInfo>* offered = &kNoOffers;
     if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
       offered = &it->second;
-    std::vector<ImplInfo> network_entries;
-    if (auto q = discovery.query(spec.type); q.ok())
-      network_entries = std::move(q).value();
-    else
-      result.degraded = true;
-    if (discovery.degraded()) result.degraded = true;
     auto candidates =
         rank_candidates(spec, *offered, registry.infos_for(spec.type),
                         network_entries, policy, same_host);
@@ -475,6 +488,7 @@ Result<RenegotiationResult> renegotiate_server(
                "no usable implementation for chunnel type '" + spec.type + "'");
   };
 
+  auto network = network_entries_for(*specs, discovery, result.degraded);
   for (size_t i = 0; i < specs->size(); i++) {
     const ChunnelSpec& spec = (*specs)[i];
     const NegotiatedNode& cur = current[i];
@@ -484,16 +498,9 @@ Result<RenegotiationResult> renegotiate_server(
     if (auto it = hello.offers.find(spec.type); it != hello.offers.end())
       client_offered = &it->second;
 
-    std::vector<ImplInfo> network_entries;
-    if (auto q = discovery.query(spec.type); q.ok())
-      network_entries = std::move(q).value();
-    else
-      result.degraded = true;
-    if (discovery.degraded()) result.degraded = true;
-
     auto candidates =
         rank_candidates(spec, *client_offered, registry.infos_for(spec.type),
-                        network_entries, policy, same_host);
+                        network[i], policy, same_host);
 
     // Walk best-first. Hitting the incumbent means nothing better is
     // usable: keep it verbatim, *without* re-acquiring the slot it
@@ -568,20 +575,31 @@ Result<RenegotiationResult> renegotiate_server(
       if (rewritten) {
         auto rewritten_specs = specs_from_plan(*specs, plan.stages);
         RenegotiationResult out;
-        out.degraded = result.degraded;
         out.retired_allocs = result.retired_allocs;
+        // Match surviving stages first, so the stages the rewrite
+        // introduces are known up front and bound from one catalogue read.
         std::vector<bool> used(result.chain.size(), false);
+        std::vector<size_t> survivor(plan.stages.size(), result.chain.size());
+        std::vector<ChunnelSpec> introduced;
+        for (size_t j = 0; j < plan.stages.size(); j++) {
+          for (size_t k = 0; k < result.chain.size(); k++)
+            if (!used[k] && result.chain[k].type == plan.stages[j].type) {
+              used[k] = true;
+              survivor[j] = k;
+              break;
+            }
+          if (survivor[j] == result.chain.size())
+            introduced.push_back(rewritten_specs[j]);
+        }
+        auto fresh_network =
+            network_entries_for(introduced, discovery, result.degraded);
+        out.degraded = result.degraded;
+        size_t next_fresh = 0;
         std::vector<uint64_t> staged_here;  // rolled back if the restage aborts
         bool aborted = false;
         for (size_t j = 0; j < plan.stages.size(); j++) {
-          size_t i = result.chain.size();
-          for (size_t k = 0; k < result.chain.size(); k++)
-            if (!used[k] && result.chain[k].type == plan.stages[j].type) {
-              i = k;
-              break;
-            }
+          size_t i = survivor[j];
           if (i < result.chain.size()) {  // surviving stage: carry over
-            used[i] = true;
             out.chain.push_back(result.chain[i]);
             for (const auto& a : result.kept_allocs)
               if (a.node == i) out.kept_allocs.push_back({j, a.alloc_id});
@@ -589,7 +607,8 @@ Result<RenegotiationResult> renegotiate_server(
               if (a.node == i) out.new_allocs.push_back({j, a.alloc_id});
             continue;
           }
-          auto fresh = select_fresh(rewritten_specs[j]);
+          auto fresh = select_fresh(rewritten_specs[j],
+                                    fresh_network[next_fresh++]);
           if (!fresh.ok()) {  // rewrite unusable: keep the phase-1 chain
             BLOG(info, "renegotiate")
                 << "restage abandoned: " << fresh.error().to_string();

@@ -2,24 +2,11 @@
 
 #include <unistd.h>
 
-#include <random>
-
 #include "chunnels/telemetry.hpp"
 #include "core/endpoint.hpp"
 #include "io/buffer_pool.hpp"
 
 namespace bertha {
-
-std::string make_unique_id() {
-  static std::atomic<uint64_t> counter{0};
-  std::random_device rd;
-  uint64_t v = (static_cast<uint64_t>(rd()) << 32) ^ rd();
-  v ^= static_cast<uint64_t>(::getpid()) << 48;
-  v ^= counter.fetch_add(1) * 0x9e3779b97f4a7c15ULL;
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 Result<std::shared_ptr<Runtime>> Runtime::create(RuntimeConfig cfg) {
   if (!cfg.transports)

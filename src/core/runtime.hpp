@@ -217,7 +217,4 @@ class Runtime : public std::enable_shared_from_this<Runtime> {
   ReactorPtr reactor_;  // guarded by reactor_mu_
 };
 
-// Returns a process-unique random identifier (hex).
-std::string make_unique_id();
-
 }  // namespace bertha

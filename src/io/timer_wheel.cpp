@@ -73,8 +73,20 @@ uint64_t TimerWheel::arm(Duration delay, int64_t period_ns, Callback cb) {
     ix.entries.emplace(e->id, e);
   }
   insert(e);
-  armed_.fetch_add(1, std::memory_order_relaxed);
   n_scheduled_.fetch_add(1, std::memory_order_relaxed);
+  armed_.fetch_add(1);
+  // Pull in a driver that would wake a tick or more past this entry
+  // (parked on an empty wheel, or asleep toward a later first deadline).
+  // A ticking driver wakes within a tick of any new entry, so this path
+  // stays lock-free while the wheel is busy.
+  int64_t due_ns = static_cast<int64_t>(e->deadline_tick) * tick_ns_;
+  if (!opts_.manual && due_ns <= wake_ns_.load() - tick_ns_) {
+    std::lock_guard<std::mutex> lk(stop_mu_);
+    if (due_ns <= wake_ns_.load() - tick_ns_) {
+      wake_ns_.store(due_ns);
+      stop_cv_.notify_all();
+    }
+  }
   return e->id;
 }
 
@@ -243,14 +255,29 @@ void TimerWheel::fire(std::vector<EntryPtr>& due) {
 }
 
 void TimerWheel::driver_loop() {
+  std::unique_lock<std::mutex> lk(stop_mu_);
   for (;;) {
+    // Sleep until wake_ns_ (forever while nothing is armed); arm() may
+    // pull it in, which restarts the wait toward the earlier time.
+    int64_t wake = wake_ns_.load();
+    auto pulled_in = [&] { return stopping_ || wake_ns_.load() < wake; };
+    bool woken = wake == kIdle
+                     ? (stop_cv_.wait(lk, pulled_in), true)
+                     : stop_cv_.wait_until(
+                           lk, TimePoint(Duration(base_ns_ + wake)), pulled_in);
+    if (stopping_) return;
+    if (woken) continue;
+    lk.unlock();
+    n_wakeups_.fetch_add(1, std::memory_order_relaxed);
     {
-      std::unique_lock<std::mutex> lk(stop_mu_);
-      stop_cv_.wait_for(lk, opts_.tick, [&] { return stopping_; });
-      if (stopping_) return;
+      std::lock_guard<std::mutex> alk(advance_mu_);
+      advance_to(now_ns());
     }
-    std::lock_guard<std::mutex> lk(advance_mu_);
-    advance_to(now_ns());
+    lk.lock();
+    // Entries left: keep the tick. None: park. An arm() racing this
+    // either sees kIdle and pulls it in, or is seen here through armed_.
+    wake_ns_.store(kIdle);
+    if (armed_.load() > 0) wake_ns_.store(now_ns() + tick_ns_);
   }
 }
 
@@ -280,6 +307,7 @@ TimerWheel::Stats TimerWheel::stats() const {
   s.ticks = n_ticks_.load(std::memory_order_relaxed);
   s.armed = armed_.load(std::memory_order_relaxed);
   s.max_fired_in_tick = max_batch_.load(std::memory_order_relaxed);
+  s.wakeups = n_wakeups_.load(std::memory_order_relaxed);
   return s;
 }
 

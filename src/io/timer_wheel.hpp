@@ -19,6 +19,11 @@
 //    callback is detected and does not deadlock).
 //  - Periodic timers re-arm at fixed period multiples of their original
 //    deadline and keep their id across fires, so cancel works forever.
+//  - The driver ticks only while something is armed. An empty wheel
+//    parks; the first entry armed wakes it at that entry's deadline, not
+//    at once (an entry due a tick or more earlier pulls the wake in), so
+//    an idle wheel, or one holding a single far-off entry, costs no
+//    wakeups.
 //
 // Deterministic-clock mode (Options.manual): no driver thread is
 // started and virtual time only moves when advance() is called — the
@@ -93,6 +98,7 @@ class TimerWheel {
     uint64_t ticks = 0;      // slots processed
     uint64_t armed = 0;      // currently armed timers
     uint64_t max_fired_in_tick = 0;  // largest single-tick expiry batch
+    uint64_t wakeups = 0;  // driver ticks run; none while nothing is armed
   };
   Stats stats() const;
 
@@ -161,9 +167,14 @@ class TimerWheel {
   std::atomic<uint64_t> n_cancelled_{0};
   std::atomic<uint64_t> n_ticks_{0};
   std::atomic<uint64_t> max_batch_{0};
+  std::atomic<uint64_t> n_wakeups_{0};
 
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
+  // When the driver next wakes, in now_ns() time; kIdle while parked on
+  // an empty wheel. Lowered by arm(), set by the driver (stop_mu_ held).
+  static constexpr int64_t kIdle = INT64_MAX;
+  std::atomic<int64_t> wake_ns_{kIdle};
   bool stopping_ = false;  // guarded by stop_mu_
   std::mutex join_mu_;     // serializes concurrent stop() joins
   std::thread driver_;

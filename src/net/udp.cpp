@@ -14,6 +14,31 @@ namespace {
 
 constexpr size_t kMaxDatagram = 65507;
 
+// Dotted-quad IPv4 only, as inet_pton(AF_INET) accepts it: four
+// decimal octets, no leading zeros. Parsed by hand because this runs per
+// datagram and inet_pton/inet_ntop cost more than the send.
+bool parse_ipv4(const std::string& host, in_addr& out) {
+  uint32_t addr = 0;
+  size_t i = 0;
+  for (int octet = 0; octet < 4; octet++) {
+    if (octet > 0) {
+      if (i >= host.size() || host[i] != '.') return false;
+      i++;
+    }
+    size_t start = i;
+    uint32_t v = 0;
+    while (i < host.size() && host[i] >= '0' && host[i] <= '9' &&
+           i - start < 3)
+      v = v * 10 + static_cast<uint32_t>(host[i++] - '0');
+    size_t len = i - start;
+    if (len == 0 || v > 255 || (len > 1 && host[start] == '0')) return false;
+    addr = (addr << 8) | v;
+  }
+  if (i != host.size()) return false;
+  out.s_addr = htonl(addr);
+  return true;
+}
+
 Result<sockaddr_in> to_sockaddr(const Addr& a) {
   if (a.kind != AddrKind::udp)
     return err(Errc::invalid_argument,
@@ -21,15 +46,23 @@ Result<sockaddr_in> to_sockaddr(const Addr& a) {
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
   sa.sin_port = htons(a.port);
-  if (::inet_pton(AF_INET, a.host.c_str(), &sa.sin_addr) != 1)
+  if (!parse_ipv4(a.host, sa.sin_addr))
     return err(Errc::invalid_argument, "bad ipv4 addr: " + a.host);
   return sa;
 }
 
 Addr from_sockaddr(const sockaddr_in& sa) {
-  char buf[INET_ADDRSTRLEN] = {0};
-  ::inet_ntop(AF_INET, &sa.sin_addr, buf, sizeof(buf));
-  return Addr::udp(buf, ntohs(sa.sin_port));
+  uint32_t addr = ntohl(sa.sin_addr.s_addr);
+  char buf[INET_ADDRSTRLEN];
+  char* p = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    unsigned v = (addr >> shift) & 0xff;
+    if (v >= 100) *p++ = static_cast<char>('0' + v / 100);
+    if (v >= 10) *p++ = static_cast<char>('0' + v / 10 % 10);
+    *p++ = static_cast<char>('0' + v % 10);
+    if (shift > 0) *p++ = '.';
+  }
+  return Addr::udp(std::string(buf, p), ntohs(sa.sin_port));
 }
 
 }  // namespace
@@ -78,9 +111,13 @@ Result<Packet> UdpTransport::recv(Deadline deadline) {
   for (;;) {
     if (closed_.load(std::memory_order_acquire))
       return err(Errc::cancelled, "transport closed");
-    BERTHA_TRY(wait_readable(sock_.get(), wake_.get(), deadline));
-    if (closed_.load(std::memory_order_acquire))
-      return err(Errc::cancelled, "transport closed");
+    // An expired deadline is a non-blocking receive: skip the poll.
+    bool nonblocking = deadline.expired();
+    if (!nonblocking) {
+      BERTHA_TRY(wait_readable(sock_.get(), wake_.get(), deadline));
+      if (closed_.load(std::memory_order_acquire))
+        return err(Errc::cancelled, "transport closed");
+    }
 
     // recvfrom lands in a reusable scratch buffer: resizing a fresh
     // vector to 64 KiB would zero it on every receive, which dominates
@@ -92,6 +129,8 @@ Result<Packet> UdpTransport::recv(Deadline deadline) {
     ssize_t rc = ::recvfrom(sock_.get(), scratch.data(), scratch.size(),
                             MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&sa), &len);
     if (rc < 0) {
+      if (nonblocking && (errno == EAGAIN || errno == EWOULDBLOCK))
+        return err(Errc::timed_out, "recv deadline expired");
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
           errno == ECONNREFUSED)
         continue;  // spurious wakeup or ICMP error; retry
@@ -156,9 +195,14 @@ Result<size_t> UdpTransport::recv_batch(std::span<Datagram> out,
   for (;;) {
     if (closed_.load(std::memory_order_acquire))
       return err(Errc::cancelled, "transport closed");
-    BERTHA_TRY(wait_readable(sock_.get(), wake_.get(), deadline));
-    if (closed_.load(std::memory_order_acquire))
-      return err(Errc::cancelled, "transport closed");
+    // An expired deadline (the reactor's drain, a timer pump) is a
+    // non-blocking receive: skip the poll.
+    bool nonblocking = deadline.expired();
+    if (!nonblocking) {
+      BERTHA_TRY(wait_readable(sock_.get(), wake_.get(), deadline));
+      if (closed_.load(std::memory_order_acquire))
+        return err(Errc::cancelled, "transport closed");
+    }
 
     mmsghdr hdrs[kMmsgChunk];
     iovec iovs[kMmsgChunk];
@@ -179,6 +223,8 @@ Result<size_t> UdpTransport::recv_batch(std::span<Datagram> out,
     int rc = ::recvmmsg(sock_.get(), hdrs, static_cast<unsigned>(want),
                         MSG_DONTWAIT, nullptr);
     if (rc < 0) {
+      if (nonblocking && (errno == EAGAIN || errno == EWOULDBLOCK))
+        return err(Errc::timed_out, "recv deadline expired");
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
           errno == ECONNREFUSED)
         continue;  // spurious wakeup, signal, or ICMP error; re-wait

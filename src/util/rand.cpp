@@ -1,5 +1,11 @@
 #include "util/rand.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <random>
+
 namespace bertha {
 
 namespace {
@@ -55,5 +61,19 @@ bool Rng::chance(double p) {
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xdeadbeefcafef00dULL); }
+
+std::string make_unique_id() {
+  static const uint64_t seed = [] {
+    std::random_device rd;
+    return (static_cast<uint64_t>(rd()) << 32) ^ rd();
+  }();
+  static std::atomic<uint64_t> counter{0};
+  // splitmix64 of seed + n*golden is a bijection of n: unique per call.
+  uint64_t x = seed + counter.fetch_add(1) * 0x9e3779b97f4a7c15ULL;
+  uint64_t v = splitmix64(x) ^ (static_cast<uint64_t>(::getpid()) << 48);
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
 }  // namespace bertha

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 namespace bertha {
 
@@ -35,5 +36,11 @@ class Rng {
  private:
   uint64_t s_[4];
 };
+
+// Returns a process-unique random identifier (16 hex digits). Not
+// reproducible: the process draws one std::random_device seed on first
+// use and mixes a call counter and the pid into it, so ids never repeat
+// within a process and collide across processes only by chance.
+std::string make_unique_id();
 
 }  // namespace bertha

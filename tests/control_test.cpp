@@ -12,6 +12,7 @@
 #include "control/cluster.hpp"
 #include "core/wire.hpp"
 #include "net/fault.hpp"
+#include "sim/simnic.hpp"
 #include "util/clock.hpp"
 #include "test_helpers.hpp"
 
@@ -51,6 +52,90 @@ std::pair<std::string, std::string> split_keys(const PartitionMap& pm,
   }
   ADD_FAILURE() << "no split key found for " << prefix;
   return {first, first};
+}
+
+// The connect-churn world: a partitions x replicas cluster (query
+// frames counted as the replicas receive them), a SimNic advertising
+// encrypt/nic with a 2-engine pool, and a server whose chain is
+// serialize |> encrypt |> frame |> reliable.
+struct ChurnWorld {
+  std::shared_ptr<MemNetwork> net = MemNetwork::create();
+  std::shared_ptr<std::atomic<uint64_t>> query_frames =
+      std::make_shared<std::atomic<uint64_t>>(0);
+  std::unique_ptr<DiscoveryCluster> cluster;
+  std::shared_ptr<ClusterDiscovery> srv_disc;
+  std::unique_ptr<SimNic> nic;
+  std::shared_ptr<Runtime> srv_rt, cli_rt;
+  std::unique_ptr<Listener> listener;
+  const std::vector<std::string> chain{"serialize", "encrypt", "frame",
+                                       "reliable"};
+
+  explicit ChurnWorld(size_t replicas, RemoteDiscovery::Options rpc = {}) {
+    DiscoveryCluster::Config cfg;
+    cfg.partitions = 2;
+    cfg.replicas = replicas;
+    cfg.transports = mem_factory(net, "ctrl");
+    cfg.decorate = [frames = query_frames](TransportPtr t,
+                                           const std::string& role) {
+      if (role.size() < 4 || role.substr(role.size() - 4) != "-rpc") return t;
+      auto* f = new FaultInjectingTransport(std::move(t), {});
+      f->set_recv_filter([frames](const Addr&, BytesView p) {
+        auto fr = decode_frame(p);
+        if (fr.ok() && fr.value().kind == MsgKind::discovery) {
+          auto req = decode_request(fr.value().payload);
+          if (req.ok() && req.value().op == DiscOp::query) frames->fetch_add(1);
+        }
+        return false;
+      });
+      return TransportPtr(f);
+    };
+    cluster = DiscoveryCluster::start(std::move(cfg)).value();
+    srv_disc = cluster->client("churn-srv-disc", rpc).value();
+    SimNic::Config nic_cfg;
+    nic_cfg.crypto_engines = 2;
+    nic = SimNic::create(srv_disc, nic_cfg).value();
+    EXPECT_TRUE(nic->advertise_offloads().ok());
+
+    RuntimeConfig scfg;
+    scfg.host_id = "churn-srv";
+    scfg.transports = mem_factory(net, "churn-srv");
+    scfg.discovery = srv_disc;
+    srv_rt = Runtime::create(std::move(scfg)).value();
+    EXPECT_TRUE(register_builtin_chunnels(*srv_rt).ok());
+    RuntimeConfig ccfg;
+    ccfg.host_id = "churn-cli";
+    ccfg.transports = mem_factory(net, "churn-cli");
+    ccfg.discovery = std::make_shared<DiscoveryState>();
+    cli_rt = Runtime::create(std::move(ccfg)).value();
+    EXPECT_TRUE(register_builtin_chunnels(*cli_rt).ok());
+
+    std::vector<ChunnelSpec> specs;
+    for (const auto& t : chain) specs.emplace_back(t);
+    listener = srv_rt->endpoint("churn", ChunnelDag::chain(std::move(specs)))
+                   .value()
+                   .listen(Addr::mem("churn-srv", 100))
+                   .value();
+  }
+  ~ChurnWorld() {
+    listener->close();
+    srv_rt.reset();
+    cli_rt.reset();
+    cluster->stop();
+  }
+
+  Result<ConnPtr> connect() {
+    return cli_rt->endpoint("churn-cli", ChunnelDag::empty())
+        .value()
+        .connect(listener->addr(), Deadline::after(seconds(10)));
+  }
+};
+
+std::string bound_impl(const ConnPtr& conn, const std::string& type) {
+  auto* t = dynamic_cast<TransitionableConnection*>(conn.get());
+  if (!t) return "";
+  for (const auto& n : t->chain())
+    if (n.type == type) return n.impl_name;
+  return "";
 }
 
 // --- PartitionMap ---
@@ -185,6 +270,54 @@ TEST(ControlTest, ShardedClusterRoutesRegistrationsQueriesAndPools) {
           .ok());
   EXPECT_EQ(cluster->replica(pm.index_for_pool(pa), 0)->state()->pool_in_use(pa),
             0u);
+}
+
+// Paper §5's connect price: hello/accept plus one catalogue read. The
+// read is one query frame per partition that owns a chain type, not one
+// per chain node: the churn chain's four types live on two partitions.
+TEST(ControlTest, ConnectReadsTheCatalogueInOneFramePerPartition) {
+  ChurnWorld w(/*replicas=*/3);
+  const PartitionMap& pm = w.srv_disc->partition_map();
+  std::set<size_t> owners;
+  for (const auto& t : w.chain) owners.insert(pm.index_for_type(t));
+  ASSERT_EQ(owners.size(), 2u) << "the chain no longer spans both partitions";
+
+  // Warm up (first-use setup is not the steady-state price).
+  { ASSERT_TRUE(w.connect().ok()); }
+  uint64_t before = w.query_frames->load();
+  auto conn = w.connect();
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  EXPECT_EQ(w.query_frames->load() - before, owners.size());
+  EXPECT_EQ(bound_impl(conn.value(), "encrypt"), "encrypt/nic");
+}
+
+// A dead partition fails only the types it owns: the live partition's
+// types still bind their network entries (the NIC's encrypt engine), and
+// the connection is marked degraded for the rest.
+TEST(ControlTest, DeadPartitionDegradesOnlyItsOwnTypes) {
+  RemoteDiscovery::Options rpc;
+  rpc.rpc_timeout = ms(30);
+  rpc.retries = 1;
+  ChurnWorld w(/*replicas=*/1, rpc);
+  const PartitionMap& pm = w.srv_disc->partition_map();
+  size_t live = pm.index_for_type("encrypt");
+  ASSERT_EQ(pm.index_for_pool(w.nic->crypto_pool()), live);
+  w.cluster->kill_replica(1 - live, 0);
+
+  auto outcomes = w.srv_disc->query_many(w.chain);
+  ASSERT_EQ(outcomes.size(), w.chain.size());
+  for (size_t i = 0; i < w.chain.size(); i++) {
+    bool owned_by_live = pm.index_for_type(w.chain[i]) == live;
+    EXPECT_EQ(outcomes[i].ok(), owned_by_live) << w.chain[i];
+  }
+  bool saw_nic = false;
+  for (const auto& e : outcomes[1].value()) saw_nic |= e.name == "encrypt/nic";
+  EXPECT_TRUE(saw_nic);
+
+  auto conn = w.connect();
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  EXPECT_EQ(bound_impl(conn.value(), "encrypt"), "encrypt/nic");
+  EXPECT_EQ(w.listener->degraded_connections(), 1u);
 }
 
 TEST(ControlTest, EmptyFilterWatchFansInAllPartitions) {

@@ -197,6 +197,34 @@ TEST(EndpointTest, ManySequentialConnections) {
   EXPECT_EQ(listener->connections_accepted(), 20u);
 }
 
+// A closed connection's dead-token sweep entry leaves the client's wheel
+// with the connection: churn must not pile up entries.
+TEST(EndpointTest, ClosedConnectionsLeaveNoWheelEntries) {
+  auto world = TestWorld::make();
+  auto srv_rt = world.runtime("h1");
+  auto cli_rt = world.runtime("h2");
+  auto listener = srv_rt->endpoint("srv", ChunnelDag::empty())
+                      .value()
+                      .listen(Addr::mem("h1", 206))
+                      .value();
+  auto ep = cli_rt->endpoint("cli", ChunnelDag::empty()).value();
+  auto cycle = [&] {
+    auto conn = ep.connect(listener->addr(), Deadline::after(seconds(10)));
+    ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+    ASSERT_TRUE(listener->accept(Deadline::after(seconds(10))).ok());
+    conn.value()->close();
+  };
+  cycle();
+  auto wheel = cli_rt->timer_wheel();
+  uint64_t baseline = wheel->stats().armed;
+  constexpr int kCycles = 20;
+  for (int i = 0; i < kCycles; i++) cycle();
+  Deadline dl = Deadline::after(seconds(2));
+  while (wheel->stats().armed > baseline && !dl.expired()) sleep_for(ms(10));
+  EXPECT_LE(wheel->stats().armed, baseline)
+      << kCycles << " closed connections left wheel entries behind";
+}
+
 TEST(EndpointTest, MultiEndpointConnectFansOut) {
   auto world = TestWorld::make();
   auto cli_rt = world.runtime("hc");

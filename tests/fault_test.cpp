@@ -533,6 +533,48 @@ TEST(CachingDiscoveryTest, ServesCachedCatalogueWhileUnreachable) {
   EXPECT_GE(stats->degraded_exits.load(), 1u);
 }
 
+// A batched read goes out as one frame; during an outage the whole batch
+// is served from the cache (cold types as empty successes), and the
+// batch enters degraded mode once.
+TEST(CachingDiscoveryTest, ServesDegradedBatchFromCache) {
+  auto net = MemNetwork::create();
+  auto state = std::make_shared<DiscoveryState>();
+  ASSERT_TRUE(state->register_impl(impl_of("offload", "offload/hw")).ok());
+  ASSERT_TRUE(state->register_impl(impl_of("crypt", "crypt/hw")).ok());
+  DiscoveryServer server(net->bind(Addr::mem("disc", 1)).value(), state);
+
+  auto* fault = new FaultInjectingTransport(
+      net->bind(Addr::mem("cli", 0)).value(), {});
+  RemoteDiscovery::Options ro;
+  ro.rpc_timeout = ms(60);
+  ro.retries = 0;
+  auto remote = std::make_shared<RemoteDiscovery>(TransportPtr(fault),
+                                                  server.addr(), ro);
+  auto stats = std::make_shared<FaultStats>();
+  CachingDiscovery::Options co;
+  co.probe_period = seconds(10);  // no probe recovery mid-test
+  CachingDiscovery cache(remote, co, stats);
+
+  auto warm = cache.query_many({"offload", "crypt"});
+  ASSERT_EQ(warm.size(), 2u);
+  ASSERT_TRUE(warm[0].ok() && warm[1].ok());
+  EXPECT_EQ(fault->counters().sent, 1u) << "a batch is one frame";
+  EXPECT_FALSE(cache.degraded());
+
+  fault->partition(true, true);
+  auto out = cache.query_many({"offload", "crypt", "never-seen"});
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& r : out) ASSERT_TRUE(r.ok()) << r.error().to_string();
+  ASSERT_EQ(out[0].value().size(), 1u);
+  EXPECT_EQ(out[0].value()[0].name, "offload/hw");
+  ASSERT_EQ(out[1].value().size(), 1u);
+  EXPECT_EQ(out[1].value()[0].name, "crypt/hw");
+  EXPECT_TRUE(out[2].value().empty());
+  EXPECT_TRUE(cache.degraded());
+  EXPECT_EQ(stats->degraded_entries.load(), 1u);
+  EXPECT_EQ(stats->catalogue_hits.load(), 2u);
+}
+
 // Inner watch streams are relayed by their producer: 16 watches add no
 // forwarder threads, and every one of them still sees the inner events.
 TEST(CachingDiscoveryTest, WatchesRelayInlineWithoutThreads) {

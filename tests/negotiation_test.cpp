@@ -553,5 +553,55 @@ TEST_F(RenegotiationFixture, UpgradesWhenBetterImplAppears) {
   EXPECT_EQ(discovery.pool_in_use("nic.toe"), 1u);
 }
 
+// --- one catalogue read per negotiation ---
+
+// Records every catalogue read: query_many() batches and lone query()s.
+class ReadCountingDiscovery final : public DiscoveryState {
+ public:
+  Result<std::vector<ImplInfo>> query(const std::string& type) override {
+    singles++;
+    return DiscoveryState::query(type);
+  }
+  QueryOutcomes query_many(const std::vector<std::string>& types) override {
+    batches.push_back(types);
+    QueryOutcomes out;
+    for (const auto& t : types) out.push_back(DiscoveryState::query(t));
+    return out;
+  }
+  std::vector<std::vector<std::string>> batches;
+  int singles = 0;
+};
+
+TEST(CatalogueReadTest, NegotiationAndRenegotiationReadOnceEach) {
+  Registry registry;
+  ReadCountingDiscovery discovery;
+  DefaultPolicy policy;
+  std::map<std::string, ChunnelArgs> ads;
+  const std::vector<std::string> types{"serialize", "encrypt", "reliable"};
+  std::vector<ChunnelSpec> chain;
+  HelloMsg hello;
+  for (const auto& t : types) {
+    auto info = impl(t, t + "/sw", EndpointConstraint::both);
+    ASSERT_TRUE(
+        registry.register_impl(std::make_shared<PassthroughChunnel>(info))
+            .ok());
+    hello.offers[t] = {info};
+    chain.emplace_back(t);
+  }
+
+  auto first = negotiate_server(chain, hello, registry, discovery, policy, ads,
+                                "host-b");
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  ASSERT_EQ(discovery.batches.size(), 1u);
+  EXPECT_EQ(discovery.batches[0], types);
+
+  auto again = renegotiate_server(chain, first.value().chain, {}, hello,
+                                  registry, discovery, policy, ads, "host-b");
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  ASSERT_EQ(discovery.batches.size(), 2u);
+  EXPECT_EQ(discovery.batches[1], types);
+  EXPECT_EQ(discovery.singles, 0);
+}
+
 }  // namespace
 }  // namespace bertha

@@ -96,6 +96,56 @@ TEST(UdpTransportTest, RecvTimesOut) {
   EXPECT_EQ(r.error().code, Errc::timed_out);
 }
 
+// An expired deadline is a non-blocking receive: it drains what is
+// queued and reports timed_out on an empty socket, on both paths.
+TEST(UdpTransportTest, ExpiredDeadlineReceivesWithoutBlocking) {
+  auto a = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
+  auto b = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
+  Deadline expired = Deadline::after(Duration::zero());
+  auto r = b->recv(expired);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::timed_out);
+
+  ASSERT_TRUE(a->send_to(b->local_addr(), to_bytes("one")).ok());
+  Packet got;
+  Deadline dl = Deadline::after(seconds(2));
+  for (;;) {  // loopback delivery is quick but not instantaneous
+    auto p = b->recv(expired);
+    if (p.ok()) {
+      got = std::move(p).value();
+      break;
+    }
+    ASSERT_EQ(p.error().code, Errc::timed_out);
+    ASSERT_FALSE(dl.expired());
+    sleep_for(ms(1));
+  }
+  EXPECT_EQ(to_string(got.payload), "one");
+  EXPECT_EQ(got.src, a->local_addr());
+
+  auto* batch = dynamic_cast<BatchTransport*>(b.get());
+  ASSERT_NE(batch, nullptr);
+  std::vector<Datagram> out(4);
+  auto n = batch->recv_batch(std::span<Datagram>(out), expired);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.error().code, Errc::timed_out);
+}
+
+// Hosts are parsed as inet_pton(AF_INET) would: dotted decimal quads
+// only. Received source addresses format back to the same text.
+TEST(UdpTransportTest, RejectsMalformedIpv4Hosts) {
+  auto t = UdpTransport::bind(Addr::udp("127.0.0.1", 0)).value();
+  for (const char* bad : {"", "1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.-4",
+                          "01.2.3.4", "1..2.3", "1.2.3.4 ", "a.b.c.d",
+                          "1.2.3.1000", "localhost"}) {
+    auto r = t->send_to(Addr::udp(bad, 9), to_bytes("x"));
+    ASSERT_FALSE(r.ok()) << "accepted '" << bad << "'";
+    EXPECT_EQ(r.error().code, Errc::invalid_argument) << bad;
+  }
+  for (const char* good : {"127.0.0.1", "127.10.200.3", "127.255.255.254"})
+    EXPECT_TRUE(t->send_to(Addr::udp(good, 9), to_bytes("x")).ok()) << good;
+  EXPECT_EQ(t->local_addr().host, "127.0.0.1");
+}
+
 TEST(UdpTransportTest, CloseWakesBlockedRecv) {
   auto t = UdpTransport::bind(Addr::udp("127.0.0.1", 0));
   ASSERT_TRUE(t.ok());

@@ -408,6 +408,115 @@ TEST(ReshardTest, StaleClientsForwardOneHopAfterCutover) {
   cluster->stop();
 }
 
+// --- Batched catalogue reads meet fenced and forwarded ranges ---
+
+// A batched query runs the reshard interceptor once per type: a fenced
+// type answers `unavailable` and the whole batch retries in place (the
+// server answered, so no failover), while a forwarded type's entries
+// and a local type's entries arrive in the same response.
+TEST(ReshardTest, BatchedQueryRetriesFencedTypeInPlace) {
+  auto net = MemNetwork::create();
+  auto state = std::make_shared<DiscoveryState>();
+  ASSERT_TRUE(state->register_impl(info_of("bq.local", "bq.local/impl")).ok());
+  std::atomic<int> fenced_answers{0};
+  std::atomic<int> batch_frames{0};
+  DiscoveryServer::Options so;
+  so.request_interceptor =
+      [&](const DiscRequest& req) -> std::optional<DiscResponse> {
+    EXPECT_TRUE(req.types.empty()) << "interceptor saw a whole batch";
+    if (req.type == "bq.fenced" && fenced_answers.fetch_add(1) < 2)
+      return error_response(
+          err(Errc::unavailable, "key range fenced for migration"));
+    if (req.type == "bq.moved") {
+      DiscResponse fwd;
+      fwd.success = true;
+      fwd.entries.push_back(info_of("bq.moved", "bq.moved/remote"));
+      return fwd;
+    }
+    return std::nullopt;
+  };
+  auto* st = new FaultInjectingTransport(
+      net->bind(Addr::mem("bq-srv", 1)).value(), {});
+  st->set_recv_filter([&](const Addr&, BytesView) {
+    batch_frames.fetch_add(1);
+    return false;
+  });
+  DiscoveryServer server(TransportPtr(st), state, so);
+
+  RemoteDiscovery::Options ro;
+  ro.rpc_timeout = ms(500);
+  ro.retries = 4;
+  ro.backoff = {ms(1), 2.0, ms(5), 0.0};
+  RemoteDiscovery client(net->bind(Addr::mem("bq-cli", 0)).value(),
+                         server.addr(), ro);
+  auto out = client.query_many({"bq.fenced", "bq.moved", "bq.local"});
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& r : out) ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_TRUE(out[0].value().empty());
+  ASSERT_EQ(out[1].value().size(), 1u);
+  EXPECT_EQ(out[1].value()[0].name, "bq.moved/remote");
+  ASSERT_EQ(out[2].value().size(), 1u);
+  EXPECT_EQ(out[2].value()[0].name, "bq.local/impl");
+  EXPECT_EQ(fenced_answers.load(), 3);
+  EXPECT_EQ(batch_frames.load(), 3) << "one frame per attempt, not per type";
+  EXPECT_EQ(client.server_failovers(), 0u);
+
+  // A range that stays fenced past the retry budget fails its own type
+  // only.
+  fenced_answers.store(-100);
+  out = client.query_many({"bq.fenced", "bq.local"});
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_FALSE(out[0].ok());
+  EXPECT_EQ(out[0].error().code, Errc::unavailable);
+  ASSERT_TRUE(out[1].ok());
+  EXPECT_EQ(out[1].value().size(), 1u);
+}
+
+// A client steering by a stale map batches a moved and an unmoved type
+// into one frame to their old home: the moved type is forwarded one hop
+// and both answer.
+TEST(ReshardTest, StaleBatchedQueryForwardsOnlyTheMovedType) {
+  auto net = MemNetwork::create();
+  DiscoveryCluster::Config cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.transports = mem_factory(net, "ctrl");
+  cfg.replica.sweep_period = ms(20);
+  cfg.replica.server.coalesce_window = ms(1);
+  auto cluster = DiscoveryCluster::start(std::move(cfg)).value();
+
+  RemoteDiscovery::Options rpc;
+  rpc.rpc_timeout = ms(200);
+  rpc.retries = 6;
+  ClusterDiscovery::Config stale_cfg;
+  stale_cfg.partitions = cluster->all_servers();
+  stale_cfg.transports = cluster->transports();
+  stale_cfg.host_id = "stale-batch-cli";
+  stale_cfg.rpc = rpc;
+  auto stale = ClusterDiscovery::connect(std::move(stale_cfg)).value();
+
+  std::string moved = key_in_bucket(2, 4, "fb.t");   // p0 now, p2 after
+  std::string stayed = key_in_bucket(0, 4, "fb.s");  // p0 before and after
+  ASSERT_TRUE(stale->register_impl(info_of(moved, moved + "/impl")).ok());
+  ASSERT_TRUE(stale->register_impl(info_of(stayed, stayed + "/impl")).ok());
+
+  auto coord = ReshardCoordinator::create(*cluster).value();
+  ASSERT_TRUE(coord->split().ok());
+  ASSERT_EQ(stale->partition_map().modulo(), 2u);
+
+  uint64_t fwd_before = cluster->replica(0, 0)->reshard_forwards();
+  auto out = stale->query_many({moved, stayed});
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_TRUE(out[0].ok()) << out[0].error().to_string();
+  ASSERT_TRUE(out[1].ok()) << out[1].error().to_string();
+  ASSERT_EQ(out[0].value().size(), 1u);
+  EXPECT_EQ(out[0].value()[0].name, moved + "/impl");
+  ASSERT_EQ(out[1].value().size(), 1u);
+  EXPECT_EQ(out[1].value()[0].name, stayed + "/impl");
+  EXPECT_EQ(cluster->replica(0, 0)->reshard_forwards() - fwd_before, 1u);
+  cluster->stop();
+}
+
 // --- RemoteDiscovery retry backoff resets on success (regression) ---
 
 TEST(ReshardTest, RetryBackoffResetsAfterSuccessfulRpc) {

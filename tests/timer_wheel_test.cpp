@@ -261,6 +261,43 @@ TEST(TimerWheelTest, ThreadModeFiresOnRealClock) {
   w->stop();  // idempotent
 }
 
+// An empty wheel parks its driver instead of ticking. The first entry
+// armed wakes it at that entry's deadline (so it still fires on time),
+// not at once and not every tick before.
+TEST(TimerWheelTest, EmptyWheelDoesNotTick) {
+  TimerWheel::Options o;
+  o.tick = ms(1);
+  auto w = TimerWheel::create(o);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(w->stats().wakeups, 0u) << "an idle wheel woke every tick";
+
+  std::atomic<int> fired{0};
+  TimePoint armed_at = now();
+  w->schedule(ms(5), [&] { fired++; });
+  for (int i = 0; i < 2000 && fired.load() == 0; i++)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_LT(now() - armed_at, ms(500)) << "arming did not wake the driver";
+  EXPECT_GE(w->stats().wakeups, 1u);
+
+  // Empty again: parked again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  uint64_t parked = w->stats().wakeups;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LE(w->stats().wakeups, parked + 1);
+
+  // A far-off entry on an empty wheel: no ticks until it is due.
+  parked = w->stats().wakeups;
+  fired = 0;
+  w->schedule(ms(300), [&] { fired++; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(w->stats().wakeups, parked) << "ticked toward a far deadline";
+  for (int i = 0; i < 2000 && fired.load() == 0; i++)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fired.load(), 1);
+  w->stop();
+}
+
 TEST(TimerWheelTest, StopPreventsFurtherFires) {
   TimerWheel::Options o;
   o.tick = ms(1);
