@@ -222,7 +222,7 @@ int main() {
   }
   std::printf(
       "=> expected shape: client-push sustains the highest load at flat p95;\n"
-      "   server-xdp close behind until its steering thread saturates; mixed\n"
+      "   server-xdp close behind until its steering handler saturates; mixed\n"
       "   in between; server-fallback inflates earliest (single in-app\n"
       "   dispatcher doing full parses)\n\n");
 

@@ -1,9 +1,9 @@
 #include "chunnels/ordered_mcast.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 
+#include "io/reactor.hpp"
 #include "serialize/codec.hpp"
 #include "util/log.hpp"
 
@@ -139,16 +139,21 @@ class McastReplicaState {
   McastReplicaState(std::shared_ptr<Transport> transport, Duration gap_timeout)
       : transport_(std::move(transport)),
         gap_timeout_(gap_timeout),
-        ordered_(65536) {
-    thread_ = std::thread([this] { pump(); });
+        ordered_(65536) {}
+
+  // Starts the pump; fails if the transport cannot join process_reactor().
+  Result<void> start() {
+    auto pump = each_payload([this](BytesView d) { on_datagram(d); });
+    BERTHA_TRY_ASSIGN(id, process_reactor().add(transport_, std::move(pump)));
+    reactor_id_ = id;
+    return ok();
   }
 
-  ~McastReplicaState() { stop(); }
-
-  void stop() {
+  ~McastReplicaState() {
+    process_reactor().remove(reactor_id_);
+    gate_.close();
     transport_->close();
     ordered_.close();
-    if (thread_.joinable()) thread_.join();
   }
 
   Result<Msg> next(Deadline deadline) { return ordered_.pop(deadline); }
@@ -161,53 +166,59 @@ class McastReplicaState {
   uint64_t gaps() const { return gaps_.load(std::memory_order_relaxed); }
 
  private:
-  // Receives sequenced datagrams and releases them in global order.
-  void pump() {
-    std::map<uint64_t, Msg> holdback;
-    uint64_t next_seq = 0;
-    std::optional<TimePoint> gap_since;
+  // The pump: one sequenced datagram, held back until it is next in the
+  // global order.
+  void on_datagram(BytesView datagram) {
+    auto op_r = parse_sequenced_mcast(datagram);
+    if (!op_r.ok()) return;
+    const McastOp& op = op_r.value();
+    std::lock_guard<std::mutex> lk(mu_);
+    if (op.seq < next_seq_ || holdback_.count(op.seq)) return;  // dup
+    Msg m;
+    m.src = op.reply_to;
+    m.dst = member_addr();
+    m.payload.assign(op.payload.begin(), op.payload.end());
+    bool new_gap = holdback_.empty();
+    holdback_.emplace(op.seq, std::move(m));
+    release_locked(new_gap);
+  }
 
-    for (;;) {
-      Deadline dl = gap_since ? Deadline::at(*gap_since + gap_timeout_)
-                              : Deadline::never();
-      auto pkt_r = transport_->recv(dl);
-      if (pkt_r.ok()) {
-        auto op_r = parse_sequenced_mcast(pkt_r.value().payload);
-        if (!op_r.ok()) continue;
-        const McastOp& op = op_r.value();
-        if (op.seq < next_seq || holdback.count(op.seq)) continue;  // dup
-        Msg m;
-        m.src = op.reply_to;
-        m.dst = member_addr();
-        m.payload.assign(op.payload.begin(), op.payload.end());
-        holdback.emplace(op.seq, std::move(m));
-      } else if (pkt_r.error().code == Errc::timed_out) {
-        // Head-of-line gap aged out: skip it (recovery would run here).
-        if (!holdback.empty()) {
-          gaps_.fetch_add(holdback.begin()->first - next_seq,
-                          std::memory_order_relaxed);
-          next_seq = holdback.begin()->first;
-        }
-        gap_since.reset();
-      } else {
-        return;  // closed
-      }
-
-      while (!holdback.empty() && holdback.begin()->first == next_seq) {
-        (void)ordered_.push(std::move(holdback.begin()->second));
-        holdback.erase(holdback.begin());
-        next_seq++;
-        gap_since.reset();
-      }
-      if (!holdback.empty() && !gap_since) gap_since = now();
+  // Delivers the holdback's contiguous head. A gap left behind it ages
+  // out gap_timeout_ after it opened or last moved: each such moment
+  // arms one process_wheel() entry.
+  void release_locked(bool moved) {
+    while (!holdback_.empty() && holdback_.begin()->first == next_seq_) {
+      (void)ordered_.push(std::move(holdback_.begin()->second));
+      holdback_.erase(holdback_.begin());
+      next_seq_++;
+      moved = true;
     }
+    if (holdback_.empty() || !moved) return;
+    gap_since_ = now();
+    process_wheel()->schedule(gap_timeout_, gate_.wrap([this] { age_out(); }));
+  }
+
+  void age_out() {
+    std::lock_guard<std::mutex> lk(mu_);
+    // Filled, or it moved since this entry was armed (a later one is).
+    if (holdback_.empty() || now() < gap_since_ + gap_timeout_) return;
+    // Head-of-line gap aged out: skip it (recovery would run here).
+    gaps_.fetch_add(holdback_.begin()->first - next_seq_,
+                    std::memory_order_relaxed);
+    next_seq_ = holdback_.begin()->first;
+    release_locked(true);
   }
 
   std::shared_ptr<Transport> transport_;
   Duration gap_timeout_;
   BlockingQueue<Msg> ordered_;
   std::atomic<uint64_t> gaps_{0};
-  std::thread thread_;
+  std::mutex mu_;  // the pump's state below, shared with age_out()
+  std::map<uint64_t, Msg> holdback_;
+  uint64_t next_seq_ = 0;
+  TimePoint gap_since_;  // when the head-of-line gap opened or last moved
+  TimerGate gate_;  // gap entries, on process_wheel()
+  uint64_t reactor_id_ = 0;  // process_reactor() registration
 };
 
 namespace {
@@ -325,6 +336,7 @@ Result<std::shared_ptr<McastReplicaState>> shared_replica_state(
   BERTHA_TRY_ASSIGN(t, transports.bind(member_addr));
   auto st = std::make_shared<McastReplicaState>(
       std::shared_ptr<Transport>(std::move(t)), gap);
+  BERTHA_TRY(st->start());
   g_replica_states[key] = st;
   return st;
 }
@@ -373,7 +385,7 @@ Result<ConnPtr> OrderedMcastChunnelBase::wrap(ConnPtr inner, WrapContext& ctx) {
 void OrderedMcastChunnelBase::teardown() {
   // States are shared with the sibling implementation (and with live
   // connections); dropping our references stops each state when its
-  // last owner goes away (~McastReplicaState joins the pump thread).
+  // last owner goes away (~McastReplicaState retires its pump).
   std::lock_guard<std::mutex> lk(mu_);
   replicas_.clear();
 }
@@ -422,94 +434,81 @@ SoftwareSequencer::SoftwareSequencer(std::shared_ptr<Transport> t,
       window_(retransmit_window) {
   view_.store(view, std::memory_order_release);
   active_.store(!standby, std::memory_order_release);
-  thread_ = std::thread([this] {
-    // The retransmit log lives on this thread alone: stamped packet seq
-    // s sits at log[s - log_base].
-    std::deque<Bytes> log;
-    uint64_t log_base = 0;
-    auto multicast = [this](const Bytes& pkt) {
-      std::vector<Addr> members;
-      {
-        std::lock_guard<std::mutex> lk(members_mu_);
-        members = members_;
-      }
-      for (const auto& m : members) (void)transport_->send_to(m, pkt);
-    };
-    auto stamp_and_send = [&](BytesView frame) {
-      uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-      Bytes stamped;
-      stamped.reserve(8 + frame.size());
-      put_u64_le(stamped,
-                 mcast_stamp(view_.load(std::memory_order_relaxed), seq));
-      append(stamped, frame);
-      multicast(stamped);
-      if (window_ != 0) {
-        log.push_back(std::move(stamped));
-        while (log.size() > window_) {
-          log.pop_front();
-          log_base++;
-        }
-      }
-      count_.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (;;) {
-      auto pkt_r = transport_->recv();
-      if (!pkt_r.ok()) return;
-      const Packet& pkt = pkt_r.value();
-      if (auto vs_r = parse_mcast_view_start(pkt.payload); vs_r.ok()) {
-        // Election result. Activation is idempotent and only moves
-        // forward: a standby wakes at the elected view, an active
-        // sequencer re-elected at a higher view (candidate-list
-        // wrap-around) adopts it. The old log is from a dead view —
-        // drop it and resume the seq chain at the quorum's agreed
-        // point.
-        const McastViewStart& vs = vs_r.value();
-        uint32_t cur = view_.load(std::memory_order_relaxed);
-        bool adopt = vs.view > cur ||
-                     (vs.view == cur && !active_.load(std::memory_order_relaxed));
-        if (!adopt) continue;
-        view_.store(vs.view, std::memory_order_release);
-        uint64_t ns =
-            std::max(next_seq_.load(std::memory_order_relaxed), vs.start_seq);
-        next_seq_.store(ns, std::memory_order_relaxed);
-        log.clear();
-        log_base = ns;
-        active_.store(true, std::memory_order_release);
-        // Announce the view with a stamped no-op so replicas adopt it
-        // (and re-propose in-flight ops) even before any client op
-        // reaches us.
-        stamp_and_send(mcast_frame(addr_, BytesView{}));
-        continue;
-      }
-      if (!active_.load(std::memory_order_relaxed)) continue;  // standby
-      if (window_ != 0) {
-        if (auto fetch_r = parse_mcast_fetch(pkt.payload); fetch_r.ok()) {
-          // A replica saw a gap; re-send what the log still covers. For
-          // the prefix already pruned from the log, answer with a miss
-          // frame — the replica catches up from a peer snapshot instead
-          // of skipping. Seqs beyond the log's head have simply not
-          // been stamped yet and are not a miss.
-          const McastFetch& f = fetch_r.value();
-          if (f.from < log_base) {
-            (void)transport_->send_to(
-                f.reply_to,
-                mcast_fetch_miss_frame(view_.load(std::memory_order_relaxed),
-                                       f.from, std::min(f.to, log_base)));
-          }
-          uint64_t from = std::max(f.from, log_base);
-          uint64_t to = std::min(f.to, log_base + log.size());
-          for (uint64_t s = from; s < to; s++) {
-            (void)transport_->send_to(f.reply_to, log[s - log_base]);
-            retransmits_.fetch_add(1, std::memory_order_relaxed);
-          }
-          continue;
-        }
-      }
-      // Validate before stamping; non-mcast datagrams are dropped.
-      if (!parse_mcast_frame(pkt.payload).ok()) continue;
-      stamp_and_send(pkt.payload);
+}
+
+void SoftwareSequencer::stamp_and_send(BytesView frame) {
+  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Bytes stamped;
+  stamped.reserve(8 + frame.size());
+  put_u64_le(stamped, mcast_stamp(view_.load(std::memory_order_relaxed), seq));
+  append(stamped, frame);
+  std::vector<Addr> members;
+  {
+    std::lock_guard<std::mutex> lk(members_mu_);
+    members = members_;
+  }
+  for (const auto& m : members) (void)transport_->send_to(m, stamped);
+  if (window_ != 0) {
+    log_.push_back(std::move(stamped));
+    while (log_.size() > window_) {
+      log_.pop_front();
+      log_base_++;
     }
-  });
+  }
+  count_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void SoftwareSequencer::on_datagram(BytesView pkt) {
+  if (auto vs_r = parse_mcast_view_start(pkt); vs_r.ok()) {
+    // Election result. Activation is idempotent and only moves forward:
+    // a standby wakes at the elected view, an active sequencer re-elected
+    // at a higher view (candidate-list wrap-around) adopts it. The old
+    // log is from a dead view — drop it and resume the seq chain at the
+    // quorum's agreed point.
+    const McastViewStart& vs = vs_r.value();
+    uint32_t cur = view_.load(std::memory_order_relaxed);
+    bool adopt = vs.view > cur ||
+                 (vs.view == cur && !active_.load(std::memory_order_relaxed));
+    if (!adopt) return;
+    view_.store(vs.view, std::memory_order_release);
+    uint64_t ns =
+        std::max(next_seq_.load(std::memory_order_relaxed), vs.start_seq);
+    next_seq_.store(ns, std::memory_order_relaxed);
+    log_.clear();
+    log_base_ = ns;
+    active_.store(true, std::memory_order_release);
+    // Announce the view with a stamped no-op so replicas adopt it (and
+    // re-propose in-flight ops) even before any client op reaches us.
+    stamp_and_send(mcast_frame(addr_, BytesView{}));
+    return;
+  }
+  if (!active_.load(std::memory_order_relaxed)) return;  // standby
+  if (window_ != 0) {
+    if (auto fetch_r = parse_mcast_fetch(pkt); fetch_r.ok()) {
+      // A replica saw a gap; re-send what the log still covers. For the
+      // prefix already pruned from the log, answer with a miss frame —
+      // the replica catches up from a peer snapshot instead of skipping.
+      // Seqs beyond the log's head have simply not been stamped yet and
+      // are not a miss.
+      const McastFetch& f = fetch_r.value();
+      if (f.from < log_base_) {
+        (void)transport_->send_to(
+            f.reply_to,
+            mcast_fetch_miss_frame(view_.load(std::memory_order_relaxed),
+                                   f.from, std::min(f.to, log_base_)));
+      }
+      uint64_t from = std::max(f.from, log_base_);
+      uint64_t to = std::min(f.to, log_base_ + log_.size());
+      for (uint64_t s = from; s < to; s++) {
+        (void)transport_->send_to(f.reply_to, log_[s - log_base_]);
+        retransmits_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
+    }
+  }
+  // Validate before stamping; non-mcast datagrams are dropped.
+  if (!parse_mcast_frame(pkt).ok()) return;
+  stamp_and_send(pkt);
 }
 
 void SoftwareSequencer::update_members(std::vector<Addr> members) {
@@ -521,12 +520,9 @@ Result<std::unique_ptr<SoftwareSequencer>> SoftwareSequencer::start(
     TransportFactory& factory, const Addr& bind_addr,
     std::vector<Addr> members, size_t retransmit_window, uint32_t view,
     bool standby) {
-  if (members.empty())
-    return err(Errc::invalid_argument, "sequencer needs members");
   BERTHA_TRY_ASSIGN(t, factory.bind(bind_addr));
-  return std::unique_ptr<SoftwareSequencer>(new SoftwareSequencer(
-      std::shared_ptr<Transport>(std::move(t)), std::move(members),
-      retransmit_window, view, standby));
+  return start_with(std::shared_ptr<Transport>(std::move(t)),
+                    std::move(members), retransmit_window, view, standby);
 }
 
 Result<std::unique_ptr<SoftwareSequencer>> SoftwareSequencer::start_with(
@@ -535,16 +531,21 @@ Result<std::unique_ptr<SoftwareSequencer>> SoftwareSequencer::start_with(
   if (!transport) return err(Errc::invalid_argument, "null transport");
   if (members.empty())
     return err(Errc::invalid_argument, "sequencer needs members");
-  return std::unique_ptr<SoftwareSequencer>(
+  std::unique_ptr<SoftwareSequencer> seq(
       new SoftwareSequencer(std::move(transport), std::move(members),
                             retransmit_window, view, standby));
+  auto* raw = seq.get();
+  auto stamp = each_payload([raw](BytesView d) { raw->on_datagram(d); });
+  BERTHA_TRY_ASSIGN(id, process_reactor().add(seq->transport_, stamp));
+  seq->reactor_id_ = id;
+  return seq;
 }
 
 SoftwareSequencer::~SoftwareSequencer() { stop(); }
 
 void SoftwareSequencer::stop() {
+  process_reactor().remove(reactor_id_);
   transport_->close();
-  if (thread_.joinable()) thread_.join();
 }
 
 Result<void> SoftwareSequencer::register_with(DiscoveryClient& discovery,

@@ -30,7 +30,7 @@
 #pragma once
 
 #include <atomic>
-#include <thread>
+#include <deque>
 #include <unordered_map>
 
 #include "chunnels/common.hpp"
@@ -130,6 +130,9 @@ class SoftwareSequencer {
  private:
   SoftwareSequencer(std::shared_ptr<Transport> t, std::vector<Addr> members,
                     size_t retransmit_window, uint32_t view, bool standby);
+  // The stamp loop, a process_reactor() handler: one datagram.
+  void on_datagram(BytesView pkt);
+  void stamp_and_send(BytesView frame);
 
   std::shared_ptr<Transport> transport_;
   Addr addr_;
@@ -141,7 +144,12 @@ class SoftwareSequencer {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> retransmits_{0};
-  std::thread thread_;
+  // The retransmit log, touched only by the stamp loop (the reactor runs
+  // one handler call per registration at a time): stamped packet seq s
+  // sits at log_[s - log_base_].
+  std::deque<Bytes> log_;
+  uint64_t log_base_ = 0;
+  uint64_t reactor_id_ = 0;  // process_reactor() registration
 };
 
 // Framing helpers (shared with tests).

@@ -153,6 +153,39 @@ Result<ConnPtr> make_client_conn(ConnPtr inner, WrapContext& ctx,
 
 }  // namespace
 
+// --- server-side dispatchers ---
+
+Result<void> ShardDispatcherChunnel::on_listen(ListenContext& ctx) {
+  BERTHA_TRY_ASSIGN(args, ShardArgs::from(ctx.app_args));
+  BERTHA_TRY_ASSIGN(t, ctx.transports->bind(
+                           ephemeral_like(ctx.listen_addr, ctx.host_id)));
+  std::shared_ptr<Transport> transport(std::move(t));
+  ctx.advertise(addr_arg_, transport->local_addr().to_string());
+  BERTHA_TRY_ASSIGN(id, process_reactor().add(
+                            transport, steerer(transport, std::move(args))));
+  std::lock_guard<std::mutex> lk(mu_);
+  regs_.emplace_back(std::move(transport), id);
+  return ok();
+}
+
+Result<ConnPtr> ShardDispatcherChunnel::wrap(ConnPtr inner, WrapContext& ctx) {
+  if (ctx.role == Role::server) return inner;
+  return make_client_conn(std::move(inner), ctx,
+                          ShardClientConnection::Mode::forward, addr_arg_);
+}
+
+void ShardDispatcherChunnel::teardown() {
+  std::vector<std::pair<std::shared_ptr<Transport>, uint64_t>> regs;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    regs.swap(regs_);
+  }
+  for (auto& [transport, id] : regs) {
+    process_reactor().remove(id);
+    transport->close();
+  }
+}
+
 // --- client-push ---
 
 ShardClientPushChunnel::ShardClientPushChunnel() {
@@ -174,7 +207,7 @@ Result<ConnPtr> ShardClientPushChunnel::wrap(ConnPtr inner, WrapContext& ctx) {
 
 // --- accelerated server dispatcher (XDP stand-in) ---
 
-ShardXdpChunnel::ShardXdpChunnel() {
+ShardXdpChunnel::ShardXdpChunnel() : ShardDispatcherChunnel("xdp_addr") {
   info_.type = "shard";
   info_.name = "shard/xdp";
   info_.scope = Scope::host;
@@ -183,64 +216,31 @@ ShardXdpChunnel::ShardXdpChunnel() {
   info_.props["synth.pattern"] = "shard";
 }
 
-ShardXdpChunnel::~ShardXdpChunnel() { teardown(); }
-
-Result<void> ShardXdpChunnel::on_listen(ListenContext& ctx) {
-  BERTHA_TRY_ASSIGN(args, ShardArgs::from(ctx.app_args));
-  BERTHA_TRY_ASSIGN(t, ctx.transports->bind(
-                           ephemeral_like(ctx.listen_addr, ctx.host_id)));
-  std::shared_ptr<Transport> transport(std::move(t));
-  ctx.advertise("xdp_addr", transport->local_addr().to_string());
+Reactor::Handler ShardXdpChunnel::steerer(
+    std::shared_ptr<Transport> transport, ShardArgs args) {
   BLOG(info, "shard/xdp") << "attach: would run `ip link set dev ... xdp obj "
                              "shard.o`; dispatcher at "
                           << transport->local_addr().to_string();
 
-  std::lock_guard<std::mutex> lk(mu_);
-  dispatchers_.push_back(transport);
-  threads_.emplace_back([this, transport, args = std::move(args)] {
-    // Batched fast path: drain up to a batch per wakeup, steer each
-    // datagram, then forward all kept ones with one send_batch call
-    // (one sendmmsg on UDP). Mirrors an XDP program's per-NAPI-poll
-    // batch processing far better than packet-at-a-time recv/send.
-    std::vector<Datagram> batch(32);
-    for (;;) {
-      auto n_r = recv_batch(*transport, std::span<Datagram>(batch));
-      if (!n_r.ok()) return;
-      size_t kept = 0;
-      for (size_t i = 0; i < n_r.value(); i++) {
-        auto idx = steer_fast(batch[i].payload.view(), args);
-        if (!idx.ok()) continue;  // not a shard frame
-        // Forward the datagram unchanged; the backend replies directly
-        // to the client (reply addr travels in the frame).
-        batch[i].dst = args.shards[idx.value()];
-        if (kept != i) std::swap(batch[kept], batch[i]);
-        kept++;
-      }
-      if (kept == 0) continue;
-      (void)send_batch(*transport, std::span<Datagram>(batch.data(), kept));
-      steered_.fetch_add(kept, std::memory_order_relaxed);
+  // Batched fast path: the reactor hands over up to a batch per wakeup;
+  // steer each datagram, then forward all kept ones with one send_batch
+  // call (one sendmmsg on UDP). Mirrors an XDP program's per-NAPI-poll
+  // batch processing far better than packet-at-a-time recv/send.
+  return [this, transport, args = std::move(args)](std::span<Datagram> batch) {
+    size_t kept = 0;
+    for (size_t i = 0; i < batch.size(); i++) {
+      auto idx = steer_fast(batch[i].payload.view(), args);
+      if (!idx.ok()) continue;  // not a shard frame
+      // Forward the datagram unchanged; the backend replies directly to
+      // the client (reply addr travels in the frame).
+      batch[i].dst = args.shards[idx.value()];
+      if (kept != i) std::swap(batch[kept], batch[i]);
+      kept++;
     }
-  });
-  return ok();
-}
-
-Result<ConnPtr> ShardXdpChunnel::wrap(ConnPtr inner, WrapContext& ctx) {
-  if (ctx.role == Role::server) return inner;
-  return make_client_conn(std::move(inner), ctx,
-                          ShardClientConnection::Mode::forward, "xdp_addr");
-}
-
-void ShardXdpChunnel::teardown() {
-  std::vector<std::shared_ptr<Transport>> dispatchers;
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    dispatchers.swap(dispatchers_);
-    threads.swap(threads_);
-  }
-  for (auto& d : dispatchers) d->close();
-  for (auto& th : threads)
-    if (th.joinable()) th.join();
+    if (kept == 0) return;
+    (void)send_batch(*transport, batch.first(kept));
+    steered_.fetch_add(kept, std::memory_order_relaxed);
+  };
 }
 
 // --- in-network (switch) sharding ---
@@ -301,7 +301,8 @@ Result<Addr> install_switch_shard_offload(SimSwitch& sw,
 
 // --- in-application fallback dispatcher ---
 
-ShardFallbackChunnel::ShardFallbackChunnel() {
+ShardFallbackChunnel::ShardFallbackChunnel()
+    : ShardDispatcherChunnel("slowpath_addr") {
   info_.type = "shard";
   info_.name = "shard/fallback";
   info_.scope = Scope::application;
@@ -310,58 +311,23 @@ ShardFallbackChunnel::ShardFallbackChunnel() {
   info_.props["synth.pattern"] = "shard";
 }
 
-ShardFallbackChunnel::~ShardFallbackChunnel() { teardown(); }
-
-Result<void> ShardFallbackChunnel::on_listen(ListenContext& ctx) {
-  BERTHA_TRY_ASSIGN(args, ShardArgs::from(ctx.app_args));
-  BERTHA_TRY_ASSIGN(t, ctx.transports->bind(
-                           ephemeral_like(ctx.listen_addr, ctx.host_id)));
-  std::shared_ptr<Transport> transport(std::move(t));
-  ctx.advertise("slowpath_addr", transport->local_addr().to_string());
-
-  std::lock_guard<std::mutex> lk(mu_);
-  dispatchers_.push_back(transport);
-  threads_.emplace_back([transport, args = std::move(args)] {
-    for (;;) {
-      auto pkt_r = transport->recv();
-      if (!pkt_r.ok()) return;
-      const Packet& pkt = pkt_r.value();
-      // The in-application path pays for a full parse: frame decode,
-      // reply-address string parse, and a pass over the whole request
-      // body (the application-level deserialization a real server would
-      // do before it could consult its sharding logic).
-      auto req = parse_shard_frame(pkt.payload);
-      if (!req.ok()) continue;
-      uint64_t body_digest = fnv1a64(req.value().payload);
-      size_t idx = args.pick(req.value().payload);
-      // Re-materialize the datagram (app -> socket copy) and forward.
-      Bytes copy(pkt.payload.begin(), pkt.payload.end());
-      copy[copy.size() - 1] ^= 0;  // keep the digest live
-      (void)body_digest;
-      (void)transport->send_to(args.shards[idx], copy);
-    }
+Reactor::Handler ShardFallbackChunnel::steerer(
+    std::shared_ptr<Transport> transport, ShardArgs args) {
+  return each_payload([transport, args = std::move(args)](BytesView pkt) {
+    // The in-application path pays for a full parse: frame decode,
+    // reply-address string parse, and a pass over the whole request body
+    // (the application-level deserialization a real server would do
+    // before it could consult its sharding logic).
+    auto req = parse_shard_frame(pkt);
+    if (!req.ok()) return;
+    uint64_t body_digest = fnv1a64(req.value().payload);
+    size_t idx = args.pick(req.value().payload);
+    // Re-materialize the datagram (app -> socket copy) and forward.
+    Bytes copy(pkt.begin(), pkt.end());
+    copy[copy.size() - 1] ^= 0;  // keep the digest live
+    (void)body_digest;
+    (void)transport->send_to(args.shards[idx], copy);
   });
-  return ok();
-}
-
-Result<ConnPtr> ShardFallbackChunnel::wrap(ConnPtr inner, WrapContext& ctx) {
-  if (ctx.role == Role::server) return inner;
-  return make_client_conn(std::move(inner), ctx,
-                          ShardClientConnection::Mode::forward,
-                          "slowpath_addr");
-}
-
-void ShardFallbackChunnel::teardown() {
-  std::vector<std::shared_ptr<Transport>> dispatchers;
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    dispatchers.swap(dispatchers_);
-    threads.swap(threads_);
-  }
-  for (auto& d : dispatchers) d->close();
-  for (auto& th : threads)
-    if (th.joinable()) th.join();
 }
 
 // --- ShardWorker ---

@@ -29,11 +29,11 @@
 #pragma once
 
 #include <atomic>
-#include <thread>
 
 #include "chunnels/common.hpp"
 #include "core/chunnel.hpp"
 #include "core/discovery.hpp"
+#include "io/reactor.hpp"
 #include "sim/simswitch.hpp"
 
 namespace bertha {
@@ -76,24 +76,41 @@ class ShardClientPushChunnel final : public ChunnelImpl {
   ImplInfo info_;
 };
 
-class ShardXdpChunnel final : public ChunnelImpl {
+// The two server-side dispatchers below: on_listen binds a dispatcher
+// transport, advertises it to clients as `addr_arg`, and steers what
+// arrives there with a process_reactor() handler until teardown().
+class ShardDispatcherChunnel : public ChunnelImpl {
  public:
-  ShardXdpChunnel();
-  ~ShardXdpChunnel() override;
   const ImplInfo& info() const override { return info_; }
   Result<void> on_listen(ListenContext& ctx) override;
   Result<ConnPtr> wrap(ConnPtr inner, WrapContext& ctx) override;
   void teardown() override;
 
+ protected:
+  explicit ShardDispatcherChunnel(std::string addr_arg)
+      : addr_arg_(std::move(addr_arg)) {}
+  // The handler steering one listener's dispatcher transport.
+  virtual Reactor::Handler steerer(std::shared_ptr<Transport> transport,
+                                   ShardArgs args) = 0;
+  ImplInfo info_;
+
+ private:
+  std::string addr_arg_;
+  std::mutex mu_;
+  std::vector<std::pair<std::shared_ptr<Transport>, uint64_t>> regs_;
+};
+
+class ShardXdpChunnel final : public ShardDispatcherChunnel {
+ public:
+  ShardXdpChunnel();
+  ~ShardXdpChunnel() override { teardown(); }
   uint64_t packets_steered() const {
     return steered_.load(std::memory_order_relaxed);
   }
 
  private:
-  ImplInfo info_;
-  std::mutex mu_;
-  std::vector<std::shared_ptr<Transport>> dispatchers_;
-  std::vector<std::thread> threads_;
+  Reactor::Handler steerer(std::shared_ptr<Transport> transport,
+                           ShardArgs args) override;
   std::atomic<uint64_t> steered_{0};
 };
 
@@ -122,20 +139,14 @@ Result<Addr> install_switch_shard_offload(SimSwitch& sw,
                                           uint16_t port, const ShardArgs& args,
                                           const std::string& instance);
 
-class ShardFallbackChunnel final : public ChunnelImpl {
+class ShardFallbackChunnel final : public ShardDispatcherChunnel {
  public:
   ShardFallbackChunnel();
-  ~ShardFallbackChunnel() override;
-  const ImplInfo& info() const override { return info_; }
-  Result<void> on_listen(ListenContext& ctx) override;
-  Result<ConnPtr> wrap(ConnPtr inner, WrapContext& ctx) override;
-  void teardown() override;
+  ~ShardFallbackChunnel() override { teardown(); }
 
  private:
-  ImplInfo info_;
-  std::mutex mu_;
-  std::vector<std::shared_ptr<Transport>> dispatchers_;
-  std::vector<std::thread> threads_;
+  Reactor::Handler steerer(std::shared_ptr<Transport> transport,
+                           ShardArgs args) override;
 };
 
 // The backend side: one ShardWorker per shard, owned by the server

@@ -176,7 +176,7 @@ Result<WatcherPtr> ClusterDiscovery::watch(const std::string& type_filter) {
 void ClusterDiscovery::fan_in(const WatcherPtr& upstream,
                               const WatcherPtr& out) {
   // The merged stream is its own seq domain (per-partition seqs are
-  // incomparable), so the upstream's reader thread re-stamps each batch
+  // incomparable), so the upstream's reader re-stamps each batch
   // from a local counter as it delivers it; fan_seq_mu_ keeps the
   // stamps in queue order across partitions.
   upstream->set_sink([this, out](std::vector<WatchEvent> evs) {
@@ -206,7 +206,7 @@ Result<void> ClusterDiscovery::apply_membership(const ClusterMembership& m) {
   // its new replica list (no-op for a client already on a member
   // server), connect clients for partitions a split added and drop the
   // ones a merge retired. Dropped clients are destroyed outside cl_mu_
-  // (their reader threads join in the destructor).
+  // (the destructor waits out a delivery by their reader).
   std::vector<std::shared_ptr<RemoteDiscovery>> dropped;
   std::vector<std::pair<size_t, std::shared_ptr<RemoteDiscovery>>> grown;
   {

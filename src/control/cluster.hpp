@@ -9,8 +9,8 @@
 //    through a multi-server RemoteDiscovery that fails over between the
 //    partition's replicas on RPC timeout or watch-stream silence. The
 //    catalogue-wide watch (empty filter) fans in every partition's
-//    stream into one watcher; each partition client's reader thread
-//    relays its batches inline, so a fan-in costs no thread.
+//    stream into one watcher; each partition client's reader relays
+//    its batches inline, so a fan-in costs no thread.
 //    apply_membership() adopts a newer versioned cluster config
 //    (replicas added/removed online) and re-steers every partition
 //    client.

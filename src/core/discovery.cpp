@@ -4,6 +4,7 @@
 
 #include "chunnels/shard.hpp"
 #include "core/wire.hpp"
+#include "io/reactor.hpp"
 #include "io/timer_wheel.hpp"
 #include "util/log.hpp"
 
@@ -1319,22 +1320,21 @@ void DiscoveryServer::serve_loop() {
 
 struct RemoteDiscovery::Rsp : DiscResponse {};
 
-// A caller blocked in rpc() waiting for the reader thread to hand it the
+// A caller blocked in rpc() waiting for the reader to hand it the
 // matching response.
 struct RemoteDiscovery::Pending {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
   Result<DiscResponse> result = err(Errc::internal, "pending");
-  // Fire-and-forget completion (wheel-mode heartbeats): invoked exactly
-  // once, outside `mu`, by whichever path completes the request — the
-  // reader thread on a response, or the orphan sweep when the transport
-  // dies. When set, the completer also erases the pending_ entry, since
-  // no blocked rpc() caller exists to do it.
+  // Fire-and-forget completion (wheel-mode heartbeats): invoked once,
+  // outside `mu`, by the reader on a response, which then also erases the
+  // pending_ entry, since no blocked rpc() caller exists to do it. A beat
+  // never answered is reaped by the next beat or by the destructor.
   std::function<void(const Result<DiscResponse>&)> on_done;
 };
 
-// A server-push watch subscription. The reader thread applies pushed
+// A server-push watch subscription. The reader applies pushed
 // batches; `last_seq` is the newest catalogue seq applied, the anchor
 // for duplicate suppression and gap detection.
 struct RemoteDiscovery::Sub {
@@ -1371,6 +1371,13 @@ RemoteDiscovery::RemoteDiscovery(TransportPtr transport,
                       ? opts_.backoff_seed
                       : (std::hash<std::string>{}(client_id_) | 1);
   retry_backoff_.emplace(opts_.backoff, backoff_seed_);
+  auto id = process_reactor().add(
+      transport_, each_payload([this](BytesView d) { on_datagram(d); }));
+  if (!id.ok())  // no reader: every RPC fails at once, not by timeout
+    BLOG(error, "discovery") << "discovery client has no reader: "
+                             << id.error().to_string();
+  reader_id_ = id.value_or(0);
+  reader_dead_ = !id.ok();
 }
 
 Duration RemoteDiscovery::backoff_step() const {
@@ -1434,66 +1441,11 @@ RemoteDiscovery::~RemoteDiscovery() {
   for (auto& [id, sub] : subs) {
     // Best-effort: a lost unsubscribe just leaves the server pushing to a
     // dead address until it notices.
-    UnsubscribeMsg m;
-    m.sub_id = id;
-    m.client_id = client_id_;
-    (void)transport_->send_to(
-        active_server(),
-        encode_frame(MsgKind::unsubscribe, id, encode_unsubscribe(m)));
+    send_unsubscribe(id);
     sub->watcher->cancel();
   }
+  process_reactor().remove(reader_id_);  // returns with the reader gone
   transport_->close();
-  if (reader_.joinable()) reader_.join();
-  // After the reader joins, nobody can spawn a new replay; an in-flight
-  // one fails fast (reader_dead_ short-circuits its RPCs).
-  if (hb_replay_.joinable()) hb_replay_.join();
-}
-
-void RemoteDiscovery::ensure_reader_locked() {
-  if (reader_started_) return;
-  reader_started_ = true;
-  reader_ = std::thread([this] { reader_loop(); });
-}
-
-void RemoteDiscovery::reader_loop() {
-  for (;;) {
-    auto pkt_r = transport_->recv();
-    if (!pkt_r.ok()) break;  // transport closed
-    auto frame_r = decode_frame(pkt_r.value().payload);
-    if (!frame_r.ok()) continue;
-    if (frame_r.value().kind == MsgKind::event_batch) {
-      handle_event_batch(frame_r.value().token, frame_r.value().payload);
-      continue;
-    }
-    if (frame_r.value().kind != MsgKind::discovery) continue;
-    std::shared_ptr<Pending> p;
-    {
-      std::lock_guard<std::mutex> lk(pending_mu_);
-      auto it = pending_.find(frame_r.value().token);
-      if (it == pending_.end()) continue;  // a timed-out request's response
-      p = it->second;
-    }
-    auto rsp_r = decode_response(frame_r.value().payload);
-    std::function<void(const Result<DiscResponse>&)> on_done;
-    {
-      std::lock_guard<std::mutex> lk(p->mu);
-      if (p->done) continue;  // duplicate response
-      if (rsp_r.ok()) p->result = std::move(rsp_r).value();
-      else p->result = rsp_r.error();
-      p->done = true;
-      on_done = std::move(p->on_done);
-    }
-    p->cv.notify_all();
-    if (on_done) {
-      {
-        std::lock_guard<std::mutex> lk(pending_mu_);
-        pending_.erase(frame_r.value().token);
-      }
-      // `result` is stable once done is set (duplicates are suppressed
-      // above), so reading it without p->mu here is fine.
-      on_done(p->result);
-    }
-  }
   // Fail everything still waiting so callers don't block on a dead link.
   std::unordered_map<uint64_t, std::shared_ptr<Pending>> orphans;
   {
@@ -1502,16 +1454,52 @@ void RemoteDiscovery::reader_loop() {
     orphans.swap(pending_);
   }
   for (auto& [id, p] : orphans) {
-    std::function<void(const Result<DiscResponse>&)> on_done;
-    {
-      std::lock_guard<std::mutex> lk(p->mu);
-      if (p->done) continue;
-      p->result = err(Errc::cancelled, "discovery client closed");
-      p->done = true;
-      on_done = std::move(p->on_done);
-    }
+    std::lock_guard<std::mutex> lk(p->mu);
+    if (p->done) continue;
+    p->result = err(Errc::cancelled, "discovery client closed");
+    p->done = true;
     p->cv.notify_all();
-    if (on_done) on_done(p->result);
+  }
+  // With the reader gone nobody can spawn a new replay; an in-flight one
+  // fails fast (reader_dead_ short-circuits its RPCs).
+  if (hb_replay_.joinable()) hb_replay_.join();
+}
+
+void RemoteDiscovery::on_datagram(BytesView datagram) {
+  auto frame_r = decode_frame(datagram);
+  if (!frame_r.ok()) return;
+  const Frame& frame = frame_r.value();
+  if (frame.kind == MsgKind::event_batch) {
+    handle_event_batch(frame.token, frame.payload);
+    return;
+  }
+  if (frame.kind != MsgKind::discovery) return;
+  std::shared_ptr<Pending> p;
+  {
+    std::lock_guard<std::mutex> lk(pending_mu_);
+    auto it = pending_.find(frame.token);
+    if (it == pending_.end()) return;  // a timed-out request's response
+    p = it->second;
+  }
+  auto rsp_r = decode_response(frame.payload);
+  std::function<void(const Result<DiscResponse>&)> on_done;
+  {
+    std::lock_guard<std::mutex> lk(p->mu);
+    if (p->done) return;  // duplicate response
+    if (rsp_r.ok()) p->result = std::move(rsp_r).value();
+    else p->result = rsp_r.error();
+    p->done = true;
+    on_done = std::move(p->on_done);
+  }
+  p->cv.notify_all();
+  if (on_done) {
+    {
+      std::lock_guard<std::mutex> lk(pending_mu_);
+      pending_.erase(frame.token);
+    }
+    // `result` is stable once done is set (duplicates are suppressed
+    // above), so reading it without p->mu here is fine.
+    on_done(p->result);
   }
 }
 
@@ -1532,6 +1520,15 @@ void RemoteDiscovery::send_subscribe(const Sub& sub, uint64_t last_seq,
   (void)transport_->send_to(
       active_server(),
       encode_frame(MsgKind::subscribe, sub.id, encode_subscribe(m)));
+}
+
+void RemoteDiscovery::send_unsubscribe(uint64_t sub_id) {
+  UnsubscribeMsg m;
+  m.sub_id = sub_id;
+  m.client_id = client_id_;
+  (void)transport_->send_to(
+      active_server(),
+      encode_frame(MsgKind::unsubscribe, sub_id, encode_unsubscribe(m)));
 }
 
 void RemoteDiscovery::rotate_server(size_t observed) {
@@ -1608,11 +1605,6 @@ Result<void> RemoteDiscovery::subscribe_watch(WatcherPtr w,
   sub->filter = filter;
   sub->watcher = std::move(w);
   {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    if (reader_dead_) return err(Errc::cancelled, "discovery client closed");
-    ensure_reader_locked();
-  }
-  {
     std::lock_guard<std::mutex> lk(watch_mu_);
     if (stopping_) return err(Errc::cancelled, "discovery client closing");
     subs_[sub->id] = sub;
@@ -1663,12 +1655,7 @@ void RemoteDiscovery::handle_event_batch(uint64_t token, BytesView payload) {
       std::lock_guard<std::mutex> lk(watch_mu_);
       subs_.erase(token);
     }
-    UnsubscribeMsg m;
-    m.sub_id = token;
-    m.client_id = client_id_;
-    (void)transport_->send_to(
-        active_server(),
-        encode_frame(MsgKind::unsubscribe, token, encode_unsubscribe(m)));
+    send_unsubscribe(token);
     return;
   }
   auto batch_r = decode_event_batch(payload);
@@ -1763,7 +1750,6 @@ void RemoteDiscovery::start_rpc(Call& call, const Bytes& request_body,
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
     if (reader_dead_) return;
-    ensure_reader_locked();
     call.p = std::make_shared<Pending>();
     pending_[call.req_id] = call.p;
   }
@@ -1887,7 +1873,7 @@ void RemoteDiscovery::ensure_heartbeat() {
   if (hb_started_ || hb_stop_) return;
   hb_started_ = true;
   // Lease renewal is one periodic wheel entry and the RPC is
-  // fire-and-forget (the reader thread completes it), so N leased
+  // fire-and-forget (the reader completes it), so N leased
   // clients in a process cost zero heartbeat threads. The period gets a
   // ±12.5% per-client jitter, fixed once at arm time (wheel entries
   // re-arm at a constant period): heartbeats from a fleet of clients
@@ -1947,7 +1933,6 @@ void RemoteDiscovery::beat_async() {
   {
     std::lock_guard<std::mutex> lk(pending_mu_);
     if (reader_dead_) return;
-    ensure_reader_locked();
     // A beat the server never answered would leak its pending entry;
     // reap the previous one when arming the next. No retry here: the
     // next beat (to the next replica) is the retry, and missing
@@ -1960,9 +1945,9 @@ void RemoteDiscovery::beat_async() {
 }
 
 void RemoteDiscovery::on_heartbeat_done(Result<DiscResponse> rsp) {
-  // Reader-thread context: blocking rpc() here would deadlock (this very
-  // thread completes those RPCs), so the lease-loss replay — the only
-  // heavy reaction — runs on a transient thread instead.
+  // Reader context, a process_reactor() worker: blocking rpc() here would
+  // deadlock (the reader completes those RPCs), so the lease-loss replay
+  // — the only heavy reaction — runs on a transient thread instead.
   bool lease_lost = rsp.ok() && !rsp.value().success &&
                     rsp.value().errc == static_cast<uint8_t>(Errc::not_found);
   if (!lease_lost) return;

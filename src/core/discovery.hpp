@@ -125,7 +125,7 @@ struct Serde<WatchEvent> {
 // event_batch) ---
 //
 // A subscription is keyed by (client_id, sub_id); the sub_id doubles as
-// the frame token on every pushed batch so the client's reader thread can
+// the frame token on every pushed batch so the client's reader can
 // demux pushes from RPC responses. Delivery is resumable: every batch
 // names the seq range it covers, and a client that detects a gap (after a
 // partition, a dropped datagram, or a server-side overflow) re-subscribes
@@ -627,12 +627,13 @@ class DiscoveryServer {
 // Speaks the discovery protocol over a datagram transport with
 // request/response matching, timeout and retry.
 //
-// Concurrency: RPCs issue in parallel — a dedicated reader thread demuxes
-// responses to waiting callers by request id, so one slow call never
-// serializes the rest. Retries back off exponentially with jitter, and
-// every mutation carries a client-generated idempotency key so a retry of
-// an executed-but-unacknowledged op is answered from the server's dedup
-// cache instead of re-executing.
+// Concurrency: RPCs issue in parallel — the reader, a process_reactor()
+// handler for the client's lifetime, demuxes responses to waiting
+// callers by request id, so one slow call never serializes the rest.
+// Retries back off exponentially with jitter, and every mutation carries
+// a client-generated idempotency key so a retry of an executed-but-
+// unacknowledged op is answered from the server's dedup cache instead of
+// re-executing.
 class RemoteDiscovery final : public DiscoveryClient {
  public:
   struct Options {
@@ -670,7 +671,7 @@ class RemoteDiscovery final : public DiscoveryClient {
     Duration watchdog_interval = Duration::zero();
     // The wheel lease heartbeats (lease_ttl > 0) and the push-silence
     // watchdog are armed on. A heartbeat is a periodic entry whose beat
-    // fires the RPC without waiting (the reader thread completes it), so
+    // fires the RPC without waiting (the reader completes it), so
     // a process holding many leased clients carries zero heartbeat
     // threads. A beat that finds its predecessor unanswered rotates to
     // the next replica first, as a timed-out rpc() does. Resolved lazily
@@ -710,7 +711,7 @@ class RemoteDiscovery final : public DiscoveryClient {
   std::shared_ptr<QueryCall> send_query_many(std::vector<std::string> types);
   QueryOutcomes await_query_many(QueryCall& call);
   // Server push: a subscribe frame opens a stream of event_batch pushes
-  // (any filter, including ""), demuxed by the reader thread, with
+  // (any filter, including ""), demuxed by the reader, with
   // seq-gap detection and resume. A subscribe the server never acks
   // returns its `unavailable` error.
   Result<WatcherPtr> watch(const std::string& type_filter) override;
@@ -752,18 +753,19 @@ class RemoteDiscovery final : public DiscoveryClient {
   void start_rpc(Call& call, const Bytes& request_body, Span* span);
   Result<Rsp> await_rpc(Call& call);
   void send_attempt(Call& call);
-  void reader_loop();
-  void ensure_reader_locked();
+  // The reader: one received datagram (an RPC response or a push).
+  void on_datagram(BytesView datagram);
   void ensure_heartbeat();
   // One beat: sends the heartbeat RPC and returns without waiting; runs
   // on the wheel tick thread.
   void beat_async();
-  // Completion of an async beat; runs on the reader thread (or the
+  // Completion of an async beat; runs on the reader (or the
   // orphan-failure path). Must not issue blocking RPCs inline.
   void on_heartbeat_done(Result<DiscResponse> rsp);
   Result<void> subscribe_watch(WatcherPtr w, const std::string& filter);
   void handle_event_batch(uint64_t token, BytesView payload);
   void send_subscribe(const Sub& sub, uint64_t last_seq, bool resume);
+  void send_unsubscribe(uint64_t sub_id);
   uint64_t next_idem() { return next_idem_.fetch_add(1) + 1; }
   // Failover: if `observed` is still the active index, advance to the
   // next server and resubscribe every live watch stream there with
@@ -776,7 +778,7 @@ class RemoteDiscovery final : public DiscoveryClient {
   // Resolved once: Options::wheel_source, else process_wheel().
   std::shared_ptr<TimerWheel> timer_wheel();
 
-  TransportPtr transport_;
+  std::shared_ptr<Transport> transport_;  // shared with process_reactor()
   std::vector<Addr> servers_;
   mutable std::mutex srv_mu_;
   size_t active_ = 0;  // index into servers_; guarded by srv_mu_
@@ -794,14 +796,13 @@ class RemoteDiscovery final : public DiscoveryClient {
 
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending_;
-  bool reader_started_ = false;
-  bool reader_dead_ = false;
-  std::thread reader_;
+  bool reader_dead_ = false;  // set once the reader is gone; pending_mu_
+  uint64_t reader_id_ = 0;    // process_reactor() registration
 
   std::mutex watch_mu_;
   bool stopping_ = false;
   // Server-push subscriptions, keyed by sub_id (the push frame token).
-  // Guarded by watch_mu_; the reader thread consults it on every
+  // Guarded by watch_mu_; the reader consults it on every
   // event_batch frame.
   std::unordered_map<uint64_t, std::shared_ptr<Sub>> subs_;
   uint64_t watchdog_timer_ = 0;  // push-silence watchdog entry; watch_mu_
@@ -821,7 +822,7 @@ class RemoteDiscovery final : public DiscoveryClient {
   uint64_t hb_inflight_ = 0;  // outstanding beat req id; hb_mu_
   size_t hb_inflight_server_ = 0;  // server index it went to; hb_mu_
   // Lease-loss replay runs blocking RPCs, so it gets a transient thread
-  // (the reader thread completes those RPCs and must not wait on them).
+  // (the reader completes those RPCs and must not wait on them).
   std::atomic<bool> hb_replay_running_{false};
   std::thread hb_replay_;  // guarded by hb_mu_
 };

@@ -253,7 +253,7 @@ Result<WatcherPtr> CachingDiscovery::watch(const std::string& type_filter) {
       forwarders_.push_back(iw);
     }
     // The inner stream's producer (the state's emit, or a remote
-    // client's reader thread) runs the forward inline.
+    // client's reader) runs the forward inline.
     iw->set_sink([this, local](std::vector<WatchEvent> batch) {
       apply_events(batch);
       std::vector<WatchEvent> fwd;

@@ -204,4 +204,10 @@ void Reactor::worker_loop() {
   }
 }
 
+Reactor& process_reactor() {
+  // 2 workers (the default); create() fails only when out of fds.
+  static const auto* reactor = new ReactorPtr(Reactor::create().value());
+  return **reactor;
+}
+
 }  // namespace bertha

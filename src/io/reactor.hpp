@@ -1,7 +1,8 @@
 // Reactor: epoll-based rx multiplexer. Many endpoints share a small
-// worker pool instead of one blocking thread per socket — the listener's
-// demux loops, the shard dispatcher, and anything else that consumes
-// whole transports register a handler and get called with batches.
+// worker pool instead of one blocking thread per socket — a listener's
+// demux loops on its runtime's reactor; discovery client readers,
+// sequencers, multicast replica pumps and shard dispatchers on
+// process_reactor(). Each registers a handler, called with batches.
 //
 // Every registered transport joins one epoll set through its poll_fd()
 // with EPOLLONESHOT, so exactly one worker drains a given endpoint at a
@@ -113,5 +114,20 @@ class Reactor {
 };
 
 using ReactorPtr = std::shared_ptr<Reactor>;
+
+// A Handler that hands each datagram's payload to `fn`, in order.
+template <typename Fn>
+Reactor::Handler each_payload(Fn fn) {
+  return [fn = std::move(fn)](std::span<Datagram> batch) {
+    for (auto& d : batch) fn(d.payload.view());
+  };
+}
+
+// The one rx rule (DESIGN.md): a service receive loop that never blocks
+// is a handler on this process-wide 2-worker reactor, never a thread of
+// its own and never a runtime's reactor, whose workers run negotiations
+// that wait on discovery replies. Created on first call and never
+// destroyed, like process_wheel().
+Reactor& process_reactor();
 
 }  // namespace bertha

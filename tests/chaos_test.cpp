@@ -485,6 +485,8 @@ TEST(ChaosTest, SelfHealingControlPlaneSurvivesSequencerAndReplicaLoss) {
   uint64_t seed = 0xBE27A;
   if (const char* s = std::getenv("BERTHA_CHAOS_SEED"))
     seed = std::strtoull(s, nullptr, 0);
+  // Every failure names the seed that replays this fault schedule.
+  SCOPED_TRACE("BERTHA_CHAOS_SEED=" + std::to_string(seed));
   auto net = MemNetwork::create();
   auto stats = std::make_shared<FaultStats>();
 

@@ -526,5 +526,52 @@ TEST(McastLossTest, ReplicaSkipsGapsAndKeepsApplying) {
   replica->stop();
 }
 
+// The head-of-line gap ages out on a timer, not on the next datagram:
+// with seq 1 lost and nothing sent after seq 2, seq 2 is held back, then
+// released once gap_timeout has passed, and the skip is counted.
+TEST(McastLossTest, TailGapAgesOutWithNoFurtherDatagram) {
+  auto world = TestWorld::make();
+  DefaultTransportFactory factory(world.mem, world.sim, "r0");
+  SoftwareOrderedMcastChunnel impl;
+  const Addr member = Addr::sim("r0", 7000);
+  ListenContext lctx;
+  lctx.listen_addr = Addr::sim("r0", 8000);
+  lctx.host_id = "r0";
+  lctx.transports = &factory;
+  lctx.app_args.set("member_addr", member.to_string());
+  lctx.app_args.set("gap_timeout_us", "400000");
+  ASSERT_TRUE(impl.on_listen(lctx).ok());
+
+  auto cli = world.sim->attach("cli", 1).value();
+  WrapContext wctx;
+  wctx.role = Role::server;
+  wctx.listen_addr = lctx.listen_addr;
+  auto base = std::make_shared<testing_support::FixedPeerConnection>(
+      world.sim->attach("r0", 8000).value(), cli->local_addr());
+  auto conn = impl.wrap(base, wctx).value();
+
+  for (uint64_t seq : {0, 2}) {
+    Bytes d;
+    put_u64_le(d, mcast_stamp(0, seq));
+    append(d, mcast_frame(cli->local_addr(),
+                          to_bytes("op" + std::to_string(seq))));
+    ASSERT_TRUE(cli->send_to(member, d).ok());
+  }
+  auto op0 = conn->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(op0.ok()) << op0.error().to_string();
+  EXPECT_EQ(op0.value().payload_str(), "op0");
+  // Seq 2 waits behind the gap...
+  auto early = conn->recv(Deadline::after(ms(100)));
+  ASSERT_FALSE(early.ok()) << "released before the gap aged out";
+  EXPECT_EQ(early.error().code, Errc::timed_out);
+  EXPECT_EQ(impl.gaps_skipped(), 0u);
+  // ...until the gap entry fires, with no datagram to wake the pump.
+  auto op2 = conn->recv(Deadline::after(seconds(5)));
+  ASSERT_TRUE(op2.ok()) << op2.error().to_string();
+  EXPECT_EQ(op2.value().payload_str(), "op2");
+  EXPECT_EQ(impl.gaps_skipped(), 1u);
+  conn->close();
+}
+
 }  // namespace
 }  // namespace bertha

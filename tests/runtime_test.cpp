@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "core/wire.hpp"
 #include "test_helpers.hpp"
@@ -100,6 +101,65 @@ TEST(HandshakeTest, DuplicateHelloYieldsOneConnection) {
     EXPECT_EQ(acc.token, *token) << "retransmit created a new connection";
   }
   EXPECT_EQ(listener->connections_accepted(), 1u);
+}
+
+// A listener negotiates on its runtime's reactor workers, and a
+// negotiation blocks on its catalogue read. The discovery client's
+// reader must therefore never queue behind those workers: with one
+// worker, two connects each waiting on a slow catalogue read must both
+// complete well inside their deadline, not wait out RPC timeouts.
+TEST(HandshakeTest, NegotiationsOnOneWorkerReadRemoteDiscovery) {
+  auto world = TestWorld::make();
+  DiscoveryServer::Options sopts;
+  sopts.request_interceptor =
+      [](const DiscRequest& req) -> std::optional<DiscResponse> {
+    if (req.op == DiscOp::query) sleep_for(ms(100));  // a slow catalogue
+    return std::nullopt;
+  };
+  DiscoveryServer server(world.mem->bind(Addr::mem("disc", 1)).value(),
+                         std::make_shared<DiscoveryState>(), sopts);
+
+  RemoteDiscovery::Options ropts;
+  ropts.rpc_timeout = seconds(1);
+  ropts.retries = 2;
+  RuntimeConfig cfg;
+  cfg.host_id = "srv";
+  cfg.transports =
+      std::make_shared<DefaultTransportFactory>(world.mem, world.sim, "srv");
+  cfg.discovery = std::make_shared<RemoteDiscovery>(
+      world.mem->bind(Addr::mem("srv", 0)).value(), server.addr(), ropts);
+  cfg.io.reactor_workers = 1;
+  auto srv_rt = Runtime::create(std::move(cfg)).value();
+  ASSERT_TRUE(register_builtin_chunnels(*srv_rt).ok());
+  auto listener =
+      srv_rt->endpoint("srv", ChunnelDag::chain({ChunnelSpec("serialize")}))
+          .value()
+          .listen(Addr::mem("srv", 900))
+          .value();
+
+  // Each RPC attempt that queued behind a negotiation would cost the
+  // whole 1 s rpc_timeout, and three attempts outlast the deadline.
+  constexpr int kConns = 2;
+  std::vector<std::shared_ptr<Runtime>> cli_rts;
+  for (int i = 0; i < kConns; i++)
+    cli_rts.push_back(world.runtime("cli" + std::to_string(i)));
+  std::vector<Result<ConnPtr>> conns(kConns, err(Errc::internal, "unset"));
+  std::vector<std::thread> dialers;
+  for (int i = 0; i < kConns; i++) {
+    dialers.emplace_back([&, i] {
+      conns[i] = cli_rts[i]
+                     ->endpoint("cli", ChunnelDag::empty())
+                     .value()
+                     .connect(listener->addr(), Deadline::after(seconds(3)));
+    });
+  }
+  for (auto& d : dialers) d.join();
+  for (auto& c : conns) {
+    ASSERT_TRUE(c.ok()) << c.error().to_string();
+    c.value()->close();
+  }
+  EXPECT_GE(server.requests_served(), static_cast<uint64_t>(kConns));
+  listener->close();
 }
 
 // --- anycast connections (§3.2) ---
